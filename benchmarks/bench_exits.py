@@ -9,9 +9,9 @@ comfortably.  Two arms run the identical workload:
   request runs the full network at Algorithm 1's best partition point.
   Strict-class requests miss their deadline structurally; the SLA stamp
   records the damage.
-- ``exits``         — the exit-carrying engine: ``decide_exit`` picks the
-  latest (most accurate) exit whose best partition meets the per-request
-  SLA.  Strict traffic lands on an early exit and makes its deadline at a
+- ``exits``         — the exit-carrying engine: ``decide(..., sla_s=...)``
+  picks the latest (most accurate) exit whose best partition meets the
+  per-request SLA.  Strict traffic lands on an early exit and makes its deadline at a
   declared accuracy cost; slack traffic keeps the final exit — the full
   network, byte-identical weights — at full accuracy.
 

@@ -2,7 +2,8 @@
 
 Not a paper figure: quantifies how compressing the intermediate tensors
 shifts the partition landscape (related-work direction the paper cites:
-reducing what crosses the link).
+reducing what crosses the link).  Each column is the engine's codec axis
+narrowed to one codec, so encode/decode time is priced in.
 """
 
 import numpy as np
@@ -12,18 +13,19 @@ from repro.core.engine import LoADPartEngine
 from repro.experiments.reporting import render_table
 from repro.models import build_model
 from repro.network.codec import TensorCodec
+from repro.network.streaming import StreamingConfig
 
 
 @pytest.fixture(scope="module")
-def engines(trained_report):
-    graph = build_model("squeezenet")
-    return {
-        name: LoADPartEngine(
-            graph, trained_report.user_predictor, trained_report.edge_predictor,
-            upload_codec=TensorCodec(name),
-        )
-        for name in ("fp32", "fp16", "int8")
-    }
+def engine(trained_report):
+    return LoADPartEngine(build_model("squeezenet"),
+                          trained_report.user_predictor,
+                          trained_report.edge_predictor)
+
+
+def codec_only(name: str) -> StreamingConfig:
+    """The engine's codec axis narrowed to one whole-tensor codec."""
+    return StreamingConfig(codecs=(name,), chunk_bytes=None, allow_lossy=True)
 
 
 def test_codec_encode_speed(benchmark):
@@ -34,14 +36,14 @@ def test_codec_encode_speed(benchmark):
     assert encoded.nbytes == x.size
 
 
-def test_codec_partition_landscape(benchmark, engines, save_report):
+def test_codec_partition_landscape(benchmark, engine, save_report):
     def compute():
         rows = []
-        n = next(iter(engines.values())).num_nodes
+        n = engine.num_nodes
         for bw in (1e6, 2e6, 4e6, 8e6):
             row = [f"{bw / 1e6:g}"]
             for name in ("fp32", "fp16", "int8"):
-                decision = engines[name].decide(bw)
+                decision = engine.decide(bw, streaming=codec_only(name))
                 mode = "local" if decision.point == n else (
                     "full" if decision.point == 0 else f"p={decision.point}"
                 )

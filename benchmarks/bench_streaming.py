@@ -5,8 +5,8 @@ cost model (simulated timing — host speed plays no role):
 
 - **policy** — what the system actually does: Algorithm 1's plain decision
   (fp32, monolithic upload) against the joint ``(point, codec, chunking)``
-  decision of :meth:`LoADPartEngine.decide_joint`.  The joint candidate
-  set contains the plain objective, so this ratio is >= 1.0 by
+  decision of :meth:`LoADPartEngine.decide` with ``streaming`` set.  The
+  joint candidate set contains the plain objective, so this ratio is >= 1.0 by
   construction; at high bandwidth the engine must fall back to fp32/mono
   and the ratio collapses to 1.0 — that is the "no regression when the
   link is fast" half of the contract.  The recorded decisions also
@@ -74,10 +74,10 @@ def bench_model(model: str, report_prof, k: float) -> dict:
     # conv outputs and the raw input barely deflate, so cuts behind
     # ReLU/pool/concat producers win this by construction; the policy
     # cells show the unpinned system-level numbers.)
-    jd_pin = engine.decide_joint(PIN_BW_MBPS * 1e6, k=k, streaming=streaming,
-                                 offload_only=True)
-    mono_vec = jd_pin.candidates[("fp32", "mono")][:-1]
-    stream_vec = jd_pin.candidates[(STREAM_CODEC, "stream")][:-1]
+    jd_pin = engine.decide(PIN_BW_MBPS * 1e6, k=k, streaming=streaming,
+                           offload_only=True)
+    mono_vec = jd_pin.cells[(None, None, "fp32", False)].candidates[:-1]
+    stream_vec = jd_pin.cells[(None, None, STREAM_CODEC, True)].candidates[:-1]
     feasible = np.flatnonzero(np.isfinite(stream_vec))
     pin = int(feasible[np.argmax(mono_vec[feasible] / stream_vec[feasible])])
     cells = []
@@ -89,7 +89,7 @@ def bench_model(model: str, report_prof, k: float) -> dict:
 
         # Policy cells: the system-optimal decision of each arm.
         base = engine.decide(bw, k=k)
-        joint = engine.decide_joint(bw, k=k, streaming=streaming)
+        joint = engine.decide(bw, k=k, streaming=streaming)
         policy_ratio = base.predicted_latency / joint.predicted_latency
         policy_regressions.append(1.0 / policy_ratio - 1.0)
         decisions.append(_decision_row(joint, mbps))

@@ -36,7 +36,7 @@ async def drive(engine: LoADPartEngine) -> None:
     # 4 KiB chunks so the streamed arm visibly pipelines (SqueezeNet's
     # compressed cut is ~15 kB; the 32 KiB default would be one chunk).
     streaming = StreamingConfig(chunk_bytes=4096)
-    joint = engine.decide_joint(BANDWIDTH, streaming=streaming)
+    joint = engine.decide(BANDWIDTH, streaming=streaming)
     point = joint.point
     part = GraphPartitioner(graph).partition(point)
     executor = GraphExecutor(graph, seed=SEED)

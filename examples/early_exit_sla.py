@@ -7,9 +7,9 @@ same workload runs twice:
 
 - the paper's engine (full network only): strict clients miss every
   deadline — the best partition point simply is not fast enough;
-- the exit-carrying engine: ``decide_exit`` picks, per request, the
-  latest (most accurate) exit whose best partition meets that request's
-  SLA.  Strict traffic lands on an early exit and makes its deadline at
+- the exit-carrying engine: ``decide(bandwidth, k, sla_s=...)`` opens
+  the exit axis of the decision scan and picks, per request, the latest
+  (most accurate) exit whose best partition meets that request's SLA.  Strict traffic lands on an early exit and makes its deadline at
   a declared accuracy cost; slack traffic keeps the final exit — the
   full network, byte-identical weights — at full accuracy.
 

@@ -24,10 +24,9 @@ from repro.core.baselines import (
 from repro.core.blocks import BlockCutReport, block_cut_report, candidate_points
 from repro.core.cache import PartitionCache
 from repro.core.engine import (
-    FleetDecision,
     LoADPartEngine,
     ServerProfile,
-    fleet_brute_force,
+    brute_force,
     fleet_objective,
 )
 from repro.core.load_factor import GpuWatchdog, LoadFactorMonitor
@@ -36,7 +35,6 @@ from repro.core.partition_algorithm import PartitionDecision, partition_decision
 
 __all__ = [
     "BlockCutReport",
-    "FleetDecision",
     "FullOffloadStrategy",
     "GpuWatchdog",
     "LoADPartEngine",
@@ -49,9 +47,9 @@ __all__ = [
     "PartitionDecision",
     "ServerProfile",
     "block_cut_report",
+    "brute_force",
     "candidate_points",
     "dads_min_cut",
-    "fleet_brute_force",
     "fleet_objective",
     "multi_tier_decision",
     "partition_decision",

@@ -9,14 +9,15 @@
   space.  It is the O(n^3) alternative the paper contrasts Algorithm 1
   against: more general (it can cut inside blocks), but too slow for
   per-request dynamic decisions on a constrained device.
+
+The strategies take the engine's ``sla_s``/``streaming`` keywords and
+ignore them: they have no exit or codec axis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import FrozenSet, Sequence
-
-import networkx as nx
 
 from repro.core.engine import LoADPartEngine
 from repro.core.partition_algorithm import PartitionDecision
@@ -34,8 +35,10 @@ class NeurosurgeonStrategy:
     def __init__(self, engine: LoADPartEngine) -> None:
         self.engine = engine
 
-    def decide(self, bandwidth_up: float, k: float = 1.0) -> PartitionDecision:
-        """``k`` is accepted for interface parity and deliberately ignored."""
+    def decide(self, bandwidth_up: float, k: float = 1.0, *, sla_s=None,
+               streaming=None) -> PartitionDecision:
+        """``k``, ``sla_s`` and ``streaming`` are accepted for interface
+        parity and deliberately ignored."""
         return self.engine.decide(bandwidth_up, k=1.0)
 
 
@@ -45,7 +48,8 @@ class LocalStrategy:
     def __init__(self, engine: LoADPartEngine) -> None:
         self.engine = engine
 
-    def decide(self, bandwidth_up: float, k: float = 1.0) -> PartitionDecision:
+    def decide(self, bandwidth_up: float, k: float = 1.0, *, sla_s=None,
+               streaming=None) -> PartitionDecision:
         decision = self.engine.decide(bandwidth_up, k=k)
         n = self.engine.num_nodes
         return PartitionDecision(
@@ -61,7 +65,8 @@ class FullOffloadStrategy:
     def __init__(self, engine: LoADPartEngine) -> None:
         self.engine = engine
 
-    def decide(self, bandwidth_up: float, k: float = 1.0) -> PartitionDecision:
+    def decide(self, bandwidth_up: float, k: float = 1.0, *, sla_s=None,
+               streaming=None) -> PartitionDecision:
         decision = self.engine.decide(bandwidth_up, k=k)
         return PartitionDecision(
             point=0,
@@ -107,6 +112,9 @@ def dads_min_cut(
     Complexity is that of a max-flow on ~2n nodes — the O(n^3)-ish cost the
     paper's Algorithm 1 avoids.
     """
+    # Deferred: networkx is a large import that only this solver needs.
+    import networkx as nx
+
     order = graph.topological_order()
     n = len(order)
     if len(device_times) != n or len(edge_times) != n:

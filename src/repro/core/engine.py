@@ -2,18 +2,33 @@
 
 Binds together a computation graph, the trained prediction models
 (M_user, M_edge) and the cut analysis.  The prefix and suffix arrays of
-Algorithm 1 are computed exactly once at construction; each call to
-:meth:`decide` is then a single O(n) scan with the current bandwidth
-estimate and the latest influential factor ``k`` multiplied onto the
-suffix sum, exactly as the paper's implementation does.
+Algorithm 1 are computed exactly once at construction; every decision is
+then one scan over the grid
 
-:meth:`decide_joint` extends the scan to the streaming pipeline: for
-every candidate codec it folds the declared encode/decode times and wire
-sizes into the prefix/suffix cost terms, and for chunked uploads it
-credits upload/compute overlap using the *release schedule* of the tail
-— tail node ``j`` cannot start before the last crossing tensor it
-(transitively, in execution order) depends on has arrived, so the
-pipelined finish time is
+    (exit, server, codec, mode) × partition point
+
+where each ``(exit, server, codec, mode)`` cell contributes one O(n)
+objective vector over the partition points, with the cell's bandwidth
+estimate and load factor ``k`` multiplied onto the suffix sum exactly as
+the paper's implementation does.  An axis the caller leaves closed
+collapses to one value: without an SLA only the final exit is scanned,
+:meth:`~LoADPartEngine.decide` has one implicit server, and without a
+:class:`~repro.network.streaming.StreamingConfig` the only cell is the
+monolithic identity codec — so plain ``decide`` is Algorithm 1, bit for
+bit the same candidate vector.
+
+Tie rules, axis by axis: within one vector the latest point wins
+(Algorithm 1's ``<=``); across the ``(server, codec, mode)`` cells of one
+exit the first in scan order wins (strict ``<``: earliest server, then
+the earlier codec of ``StreamingConfig.codecs``, then mono before
+stream); across exits, :func:`pick_exit`'s SLA rule.
+
+A codec's mono vector adds its declared encode/decode times to Algorithm
+1 and uploads its wire size.  A streamed vector additionally credits
+upload/compute overlap using the *release schedule* of the tail — tail
+node ``j`` cannot start before the last crossing tensor it (transitively,
+in execution order) depends on has arrived, so the pipelined finish time
+is
 
     max over release breakpoints v of
         frac_v * t_up + decode_cum_v + k * suffix[jstart_v]
@@ -21,8 +36,7 @@ pipelined finish time is
 where ``frac_v`` is the cumulative wire fraction at which crossing
 tensor ``v`` completes.  The load factor ``k`` still scales every
 server-side compute term; decode runs on the server CPU and is charged
-unscaled.  With the identity codec and no chunking the joint scan
-reduces to exactly Algorithm 1 (bit-for-bit the same candidate vector).
+unscaled.
 """
 
 from __future__ import annotations
@@ -34,10 +48,12 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from repro.core.partition_algorithm import (
+    Cell,
     PartitionDecision,
     compute_prefix_device,
     compute_suffix_edge,
-    partition_decision,
+    latest_argmin,
+    objective_vector,
 )
 from repro.graph.exits import ExitBranch, validate_exits
 from repro.graph.graph import ComputationGraph
@@ -73,104 +89,37 @@ class ServerProfile:
             raise ValueError("extra_latency_s must be non-negative and finite")
 
 
-@dataclass(frozen=True)
-class FleetDecision:
-    """Result of one joint ``(partition point, server)`` decision.
+#: One server column of the grid: ``(server index or None, bandwidth_up,
+#: k, extra_latency_s, profile)``.
+Link = Tuple[int | None, float, float, float, ServerProfile | None]
 
-    ``server`` is the index of the chosen edge server, or ``None`` when
-    the winning candidate is local inference (``point == n`` — no server
-    involved at all).  ``decisions`` holds the per-server Algorithm 1
-    results, index-aligned with the ``bandwidths_up`` argument of
-    :meth:`LoADPartEngine.decide_fleet` (``None`` for servers excluded
-    from the scan), for tests and routing diagnostics.
+
+def check_sla(sla_s: float) -> None:
+    """An SLA is a positive, finite deadline in seconds."""
+    if not math.isfinite(sla_s) or sla_s <= 0:
+        raise ValueError(f"sla_s must be positive and finite, got {sla_s}")
+
+
+def pick_exit(sla_s: float, latencies: Sequence[float]) -> Tuple[int, bool]:
+    """The exit rule: ``(exit index, feasible)`` for per-exit latencies.
+
+    Latest (most accurate) exit meeting the SLA — accuracies are
+    nondecreasing in exit order, so "latest feasible" is "most accurate
+    feasible".  If none does, the fastest exit overall, ``feasible=False``
+    (the request is still served as fast as possible) — strict ``<`` on a
+    forward scan, so the earliest exit wins latency ties.  With this
+    fallback a *tighter* SLA can never select a *later* exit (SLA
+    monotonicity): the global argmin's latency is a lower bound on every
+    feasible latency at any looser SLA.
     """
-
-    point: int
-    server: int | None
-    predicted_latency: float
-    decisions: Tuple[PartitionDecision | None, ...]
-
-    @property
-    def is_local(self) -> bool:
-        return self.server is None
-
-
-@dataclass(frozen=True)
-class ExitDecision:
-    """Result of one joint ``(exit, partition point)`` decision.
-
-    ``exit_index`` indexes the engine's exit set (the final exit — the
-    full network — is ``num_exits - 1``); ``feasible`` says whether the
-    chosen exit's best partition meets the SLA (always ``True`` when
-    ``sla_s`` is ``None``).  ``decision`` is the chosen exit's own
-    Algorithm 1 result; ``decisions`` holds every per-exit result,
-    index-aligned with the exit set (``None`` for exits the scan never
-    evaluated, i.e. the degenerate ``sla_s=None`` path).
-    """
-
-    exit_index: int
-    point: int
-    predicted_latency: float
-    accuracy: float
-    sla_s: float | None
-    feasible: bool
-    decision: PartitionDecision
-    decisions: Tuple[PartitionDecision | None, ...]
-
-    @property
-    def is_local(self) -> bool:
-        return self.point == len(self.decision.candidates) - 1
-
-
-@dataclass(frozen=True)
-class ExitFleetDecision:
-    """Result of one joint ``(exit, partition point, server)`` decision.
-
-    The fleet analogue of :class:`ExitDecision`: ``decision`` is the
-    chosen exit's :class:`FleetDecision` and ``decisions`` the per-exit
-    fleet results (``None`` for unevaluated exits).
-    """
-
-    exit_index: int
-    point: int
-    server: int | None
-    predicted_latency: float
-    accuracy: float
-    sla_s: float | None
-    feasible: bool
-    decision: FleetDecision
-    decisions: Tuple[FleetDecision | None, ...]
-
-    @property
-    def is_local(self) -> bool:
-        return self.server is None
-
-
-@dataclass(frozen=True)
-class JointDecision:
-    """Result of one joint ``(partition point, codec, chunking)`` decision.
-
-    ``candidates`` maps ``(codec, mode)`` — mode ``"mono"`` or
-    ``"stream"`` — to the full objective vector over partition points,
-    for tests and Fig. 1-style landscapes.
-    """
-
-    point: int
-    codec: str
-    streamed: bool
-    chunks: int
-    predicted_latency: float
-    predicted_device_s: float
-    predicted_encode_s: float
-    predicted_upload_s: float
-    predicted_decode_s: float
-    predicted_server_s: float
-    wire_bytes: int
-    candidates: Dict[Tuple[str, str], np.ndarray]
-
-    @property
-    def is_local(self) -> bool:
-        return self.point == len(next(iter(self.candidates.values()))) - 1
+    for e in range(len(latencies) - 1, -1, -1):
+        if latencies[e] <= sla_s:
+            return e, True
+    fastest = 0
+    for e in range(1, len(latencies)):
+        if latencies[e] < latencies[fastest]:
+            fastest = e
+    return fastest, False
 
 
 class LoADPartEngine:
@@ -181,7 +130,6 @@ class LoADPartEngine:
         graph: ComputationGraph,
         user_predictor: LatencyPredictor,
         edge_predictor: LatencyPredictor,
-        upload_codec=None,
         exits: Sequence[ExitBranch] | None = None,
     ) -> None:
         if user_predictor.side != "device":
@@ -190,17 +138,11 @@ class LoADPartEngine:
             raise ValueError("edge_predictor must be the 'edge' side")
         graph.validate()
         self.graph = graph
-        self.upload_codec = upload_codec
         self.profiles: List[NodeProfile] = profile_graph(graph)
         self.device_times = user_predictor.predict_nodes(self.profiles)
         self.edge_times = edge_predictor.predict_nodes(self.profiles)
         self._cuts = graph.cuts()
-        sizes = [cut.upload_bytes for cut in self._cuts]
-        if upload_codec is not None:
-            # Compressed uploads (codec extension): the decision sees the
-            # wire sizes, which shifts the optimum toward earlier cuts.
-            sizes = [upload_codec.wire_bytes(s) for s in sizes]
-        self.sizes = sizes
+        self.sizes = [cut.upload_bytes for cut in self._cuts]
         self.output_bytes = graph.output_spec.nbytes
         self._prefix = compute_prefix_device(self.device_times)
         self._suffix = compute_suffix_edge(self.edge_times)
@@ -208,10 +150,12 @@ class LoADPartEngine:
         # predictor identity (the cache holds a strong reference, so ids
         # cannot be recycled while an entry lives).
         self._profile_suffix_cache: Dict[int, Tuple[object, np.ndarray]] = {}
-        # Lazy streaming caches: per-codec wire-size vectors, per-point
-        # cut-tensor metadata and release-schedule breakpoints.
+        # Lazy codec caches: codecs by name, per-codec vectors over points,
+        # per-(codec, point) crossing-tensor terms, per-point cut-tensor
+        # metadata and release-schedule breakpoints.
         self._codec_cache: Dict[str, object] = {}
-        self._wire_cache: Dict[str, np.ndarray] = {}
+        self._terms_cache: Dict[str, Tuple[np.ndarray, ...]] = {}
+        self._tensor_cache: Dict[Tuple[str, int], Tuple[int, list, list]] = {}
         self._cut_tensor_cache: Dict[int, Tuple[Tuple[str, int, str], ...]] = {}
         self._release_cache: Dict[int, Tuple[Tuple[int, int], ...]] = {}
         # Early exits: one sub-engine per exit branch over the same
@@ -220,16 +164,9 @@ class LoADPartEngine:
         # (its graph is the backbone), so every exit-free code path is
         # untouched by construction.
         self.exits: Tuple[ExitBranch, ...] = validate_exits(graph, exits or ())
-        if self.exits:
-            subs = [
-                LoADPartEngine(b.graph, user_predictor, edge_predictor,
-                               upload_codec=upload_codec)
-                for b in self.exits[:-1]
-            ]
-            subs.append(self)
-            self._exit_engines: Tuple[LoADPartEngine, ...] = tuple(subs)
-        else:
-            self._exit_engines = (self,)
+        self._exit_engines: Tuple[LoADPartEngine, ...] = tuple(
+            LoADPartEngine(b.graph, user_predictor, edge_predictor)
+            for b in self.exits[:-1]) + (self,)
 
     @property
     def num_nodes(self) -> int:
@@ -259,6 +196,8 @@ class LoADPartEngine:
             return 1.0
         return self.exits[-1 if index is None else index].accuracy
 
+    # -- decisions -----------------------------------------------------------
+
     def decide(
         self,
         bandwidth_up: float,
@@ -267,58 +206,95 @@ class LoADPartEngine:
         offload_only: bool = False,
         extra_latency_s: float = 0.0,
         profile: ServerProfile | None = None,
+        *,
+        sla_s: float | None = None,
+        streaming=None,
     ) -> PartitionDecision:
-        """Run Algorithm 1 under the given link/load conditions.
+        """Pick the partition point for one (device, server) pair.
 
-        ``extra_latency_s`` is a fixed per-request penalty on every
-        offloading candidate (a server's link base latency); the 0.0
-        default reproduces the paper's scan exactly.  ``profile``
-        substitutes that server's own edge predictor for the suffix
-        array (the device prefix never changes — the device is ours);
-        a ``None`` profile or a profile without a predictor uses the
-        engine's shared suffix bit-for-bit.
+        With the defaults this is Algorithm 1.  ``extra_latency_s`` is a
+        fixed per-request penalty on every offloading candidate (a
+        server's link base latency); ``profile`` substitutes that
+        server's own edge predictor for the suffix array (the device
+        prefix never changes — the device is ours).
+
+        ``sla_s`` opens the exit axis: every exit sub-graph is scanned
+        and :func:`pick_exit` chooses among them (``ValueError`` unless
+        positive and finite).  ``streaming`` opens the codec and mode
+        axes: every codec of ``streaming.codecs``, monolithic and — with
+        ``chunk_bytes`` set — streamed.  ``StreamingConfig(codecs=
+        ("fp32",), chunk_bytes=None)`` reproduces the plain scan verbatim.
         """
-        return partition_decision(
-            self.device_times,
-            self.edge_times,
-            self.sizes,
-            bandwidth_up,
-            k=k,
-            bandwidth_down=bandwidth_down,
-            output_bytes=self.output_bytes,
-            prefix=self._prefix,
-            suffix=self._suffix_for(profile),
-            offload_only=offload_only,
-            extra_latency_s=extra_latency_s,
-        )
+        links = self._links([bandwidth_up], [k], [extra_latency_s], [profile],
+                            None, fleet=False)
+        return self._scan(links, sla_s, streaming, bandwidth_down, offload_only)
 
-    def _suffix_for(self, profile: ServerProfile | None) -> np.ndarray:
-        """Suffix array for one server profile (cached per predictor)."""
-        if profile is None or profile.edge_predictor is None:
-            return self._suffix
-        predictor = profile.edge_predictor
-        key = id(predictor)
-        entry = self._profile_suffix_cache.get(key)
-        if entry is None or entry[0] is not predictor:
-            suffix = compute_suffix_edge(predictor.predict_nodes(self.profiles))
-            entry = (predictor, suffix)
-            self._profile_suffix_cache[key] = entry
-        return entry[1]
+    def decide_fleet(
+        self,
+        bandwidths_up: Sequence[float | None],
+        ks: Sequence[float],
+        extra_latencies_s: Sequence[float] | None = None,
+        bandwidth_down: float | None = None,
+        allowed: Sequence[int] | None = None,
+        offload_only: bool = False,
+        profiles: Sequence[ServerProfile | None] | None = None,
+        *,
+        sla_s: float | None = None,
+    ) -> PartitionDecision:
+        """Jointly pick ``(partition point, server)`` across an edge fleet.
 
-    def _resolve_fleet(
+        The server axis gets one column per server ``s`` with its own
+        influential factor ``k_s``, bandwidth estimate and link base
+        latency.  A winning ``point == n`` means local inference and
+        ``server is None`` — every server's vector contains the identical
+        local candidate, so local wins only when no server beats it.
+
+        ``profiles`` makes the fleet heterogeneous: server ``s``'s column
+        uses *its own* edge predictor's suffix array (cached per
+        predictor), its profile's bandwidth prior when
+        ``bandwidths_up[s]`` is ``None``, and its profile's link position
+        when ``extra_latencies_s`` is omitted.  Uniform default profiles
+        reproduce the homogeneous scan bit-for-bit.
+
+        ``allowed`` restricts the scan to a subset of server indices (the
+        gateway drops dead/saturated servers); an empty ``allowed`` yields
+        the pure local decision.  With one allowed server and zero extra
+        latency this reduces bit-for-bit to :meth:`decide`.  ``sla_s``
+        opens the exit axis exactly as in :meth:`decide`.
+        """
+        links = self._links(bandwidths_up, ks, extra_latencies_s, profiles,
+                            allowed)
+        return self._scan(links, sla_s, None, bandwidth_down, offload_only)
+
+    def decide_exit_fleet(self, sla_s: float | None,
+                          bandwidths_up: Sequence[float | None],
+                          ks: Sequence[float], **kwargs) -> PartitionDecision:
+        """:meth:`decide_fleet` with the SLA first (the name the per-layer
+        benchmark traces)."""
+        return self.decide_fleet(bandwidths_up, ks, sla_s=sla_s, **kwargs)
+
+    def decide_joint(self, bandwidth_up: float, k: float = 1.0, streaming=None,
+                     **kwargs) -> PartitionDecision:
+        """:meth:`decide` with ``streaming`` third (the name the per-layer
+        benchmark traces)."""
+        return self.decide(bandwidth_up, k=k, streaming=streaming, **kwargs)
+
+    def _links(
         self,
         bandwidths_up: Sequence[float | None],
         ks: Sequence[float],
         extra_latencies_s: Sequence[float] | None,
         profiles: Sequence[ServerProfile | None] | None,
         allowed: Sequence[int] | None,
-    ) -> Tuple[List[int], List[float], List[float], List[ServerProfile | None]]:
-        """Shared argument resolution for the fleet scan.
+        fleet: bool = True,
+    ) -> List[Link]:
+        """Resolve and validate the server columns of one scan.
 
         Fills ``None`` bandwidth entries from the profile prior and
         defaults the extra-latency vector from the profiles' link
-        positions.  :func:`fleet_brute_force` calls this too, so the
-        reference implementation cannot diverge on resolution rules.
+        positions.  :func:`brute_force` calls this too, so the reference
+        implementation cannot diverge on resolution rules.  Columns of a
+        single-server scan (``fleet=False``) carry server ``None``.
         """
         num = len(bandwidths_up)
         if len(ks) != num:
@@ -342,211 +318,158 @@ class LoADPartEngine:
                         "profile carries no prior"
                     )
                 bandwidths[s] = p.bandwidth_bps
-        servers = list(range(num)) if allowed is None else sorted(set(allowed))
-        if any(not 0 <= s < num for s in servers):
-            raise ValueError(f"allowed indices must be in [0, {num})")
-        return servers, bandwidths, list(extra_latencies_s), list(profiles)
-
-    def decide_fleet(
-        self,
-        bandwidths_up: Sequence[float | None],
-        ks: Sequence[float],
-        extra_latencies_s: Sequence[float] | None = None,
-        bandwidth_down: float | None = None,
-        allowed: Sequence[int] | None = None,
-        offload_only: bool = False,
-        profiles: Sequence[ServerProfile | None] | None = None,
-    ) -> FleetDecision:
-        """Jointly pick ``(partition point, server)`` across an edge fleet.
-
-        Algorithm 1's prefix/suffix arrays are computed once (at engine
-        construction); the server axis is scanned per candidate — one O(n)
-        pass per server ``s`` with its own influential factor ``k_s``,
-        bandwidth estimate and link base latency, then a strict-``<``
-        minimum across servers.  Tie-breaks: within one server, the latest
-        point wins (Algorithm 1's own rule, preferring local); across
-        servers, the earliest server index wins.  A winning ``point == n``
-        means local inference and ``server is None`` — every server's
-        candidate vector contains the identical local candidate, so local
-        wins only when no server beats it.
-
-        ``profiles`` makes the fleet heterogeneous: server ``s``'s scan
-        uses *its own* edge predictor's suffix array (cached per
-        predictor), its profile's bandwidth prior when
-        ``bandwidths_up[s]`` is ``None``, and its profile's link position
-        when ``extra_latencies_s`` is omitted.  Uniform default profiles
-        reproduce the homogeneous scan bit-for-bit.
-
-        ``allowed`` restricts the scan to a subset of server indices (the
-        gateway drops dead/saturated servers); an empty ``allowed`` yields
-        the pure local decision.  With one allowed server and zero extra
-        latency this reduces bit-for-bit to :meth:`decide`.
-        """
-        num = len(bandwidths_up)
-        servers, bandwidths, extras, profiles = self._resolve_fleet(
-            bandwidths_up, ks, extra_latencies_s, profiles, allowed
-        )
-
-        decisions: List[PartitionDecision | None] = [None] * num
-        best_value = math.inf
-        best_server: int | None = None
-        best_point = self.num_nodes
+        servers = range(num) if allowed is None else sorted(set(allowed))
+        links: List[Link] = []
         for s in servers:
-            d = self.decide(
-                bandwidths[s],
-                k=ks[s],
-                bandwidth_down=bandwidth_down,
-                offload_only=offload_only,
-                extra_latency_s=extras[s],
-                profile=profiles[s],
-            )
-            decisions[s] = d
-            if d.predicted_latency < best_value:
-                best_value = d.predicted_latency
-                best_server = s
-                best_point = d.point
-        if best_server is None or best_point == self.num_nodes:
-            # No server allowed, or local inference won on merit: the
-            # objective value is the pure device prefix (identical in
-            # every per-server vector).
-            return FleetDecision(
-                point=self.num_nodes,
-                server=None,
-                predicted_latency=float(self._prefix[self.num_nodes]),
-                decisions=tuple(decisions),
-            )
-        return FleetDecision(
-            point=best_point,
-            server=best_server,
-            predicted_latency=best_value,
-            decisions=tuple(decisions),
+            if not 0 <= s < num:
+                raise ValueError(f"allowed indices must be in [0, {num})")
+            bw, k, extra = bandwidths[s], ks[s], extra_latencies_s[s]
+            if bw <= 0:
+                raise ValueError("upload bandwidth must be positive")
+            if k < 1.0:
+                raise ValueError(f"the influential factor k must be >= 1, got {k}")
+            if extra < 0:
+                raise ValueError("extra_latency_s must be non-negative")
+            links.append((s if fleet else None, bw, k, extra, profiles[s]))
+        return links
+
+    def _scan(self, links: Sequence[Link], sla_s: float | None, streaming,
+              bandwidth_down: float | None,
+              offload_only: bool) -> PartitionDecision:
+        """The one decision scan over ``(exit, server, codec, mode)``."""
+        if sla_s is not None:
+            check_sla(sla_s)
+        if bandwidth_down is not None and bandwidth_down <= 0:
+            raise ValueError("download bandwidth must be positive")
+        codecs = ("fp32",) if streaming is None else streaming.codecs
+        modes = ((False,) if streaming is None or streaming.chunk_bytes is None
+                 else (False, True))
+        engines = self._exit_engines if sla_s is not None else self._exit_engines[-1:]
+        first = self.num_exits - len(engines)
+        open_exits = bool(self.exits) and sla_s is not None
+        cells: Dict[Cell, PartitionDecision] = {}
+        winners = []  # per exit: (winning row, its bandwidth, k, suffix)
+        for e, eng in enumerate(engines, first):
+            exit_index = e if open_exits else None
+            accuracy = self.exit_accuracy(e)
+            download = (0.0 if bandwidth_down is None
+                        else eng.output_bytes * 8 / bandwidth_down)
+            best, best_value = None, math.inf
+            for server, bw, k, extra, profile in links:
+                suffix = eng._suffix_for(profile)
+                for name in codecs:
+                    for streamed in modes:
+                        vec = (eng._stream_vector(name, bw, k, suffix, download,
+                                                  extra, streaming)
+                               if streamed else
+                               eng._mono_vector(name, bw, k, suffix, download,
+                                                extra))
+                        point = latest_argmin(vec, offload_only)
+                        value = float(vec[point])
+                        row = PartitionDecision(
+                            point=point, predicted_latency=value,
+                            candidates=vec, server=server,
+                            exit_index=exit_index, accuracy=accuracy,
+                            sla_s=sla_s,
+                            feasible=sla_s is None or value <= sla_s,
+                            codec=name, streamed=streamed)
+                        cells[(exit_index, server, name, streamed)] = row
+                        if value < best_value:
+                            best, best_value = (row, bw, k, suffix), value
+            if best is None:
+                # No server to offload to: the local candidate is all
+                # there is.
+                n = eng.num_nodes
+                local = np.full(n + 1, np.inf)
+                local[n] = eng._prefix[n]
+                best = (PartitionDecision(n, float(local[n]), local),
+                        1.0, 1.0, eng._suffix)
+            winners.append(best)
+
+        chosen, feasible = (0, True) if sla_s is None else pick_exit(
+            sla_s, [row.predicted_latency for row, *_ in winners])
+        row, bw, k, suffix = winners[chosen]
+        return engines[chosen]._decision(
+            row.point, row.predicted_latency, row.candidates, row.codec,
+            row.streamed, bw, k, suffix, streaming,
+            server=None if row.is_local else row.server,
+            exit_index=first + chosen if open_exits else None,
+            accuracy=self.exit_accuracy(first + chosen), sla_s=sla_s,
+            feasible=feasible, cells=cells)
+
+    def _decision(self, point: int, value: float, candidates: np.ndarray,
+                  codec_name: str, streamed: bool, bandwidth_up: float,
+                  k: float, suffix: np.ndarray, streaming,
+                  **fields) -> PartitionDecision:
+        """A decision at one ``(point, codec, mode)``, with its per-stage
+        predicted times."""
+        codec = self.codec(codec_name)
+        wire_b = int(self._wire_sizes(codec_name)[point])
+        chunks = streaming.num_chunks(wire_b) if streamed else 1
+        upload_s = 0.0
+        if point < self.num_nodes:
+            upload_s = wire_b * 8 / bandwidth_up
+            if streamed:
+                upload_s += (chunks - 1) * streaming.chunk_overhead_s
+        raw_b = float(self.sizes[point])
+        return PartitionDecision(
+            point=point,
+            predicted_latency=value,
+            candidates=candidates,
+            codec=codec_name,
+            streamed=streamed,
+            chunks=chunks,
+            wire_bytes=wire_b,
+            predicted_device_s=float(self._prefix[point]),
+            predicted_encode_s=float(codec.encode_time_s(raw_b)),
+            predicted_upload_s=upload_s,
+            predicted_decode_s=float(codec.decode_time_s(raw_b)),
+            predicted_server_s=float(k * suffix[point]),
+            **fields,
         )
 
-    # -- early exits: joint (exit, point) and (exit, point, server) ----------
+    def joint_at(self, point: int, codec_name: str, streamed: bool,
+                 bandwidth_up: float, k: float = 1.0,
+                 streaming=None,
+                 bandwidth_down: float | None = None) -> PartitionDecision:
+        """A decision pinned to ``(point, codec, mode)``.
 
-    def decide_exit(
-        self,
-        sla_s: float | None,
-        bandwidth_up: float,
-        k: float = 1.0,
-        bandwidth_down: float | None = None,
-        offload_only: bool = False,
-        extra_latency_s: float = 0.0,
-        profile: ServerProfile | None = None,
-    ) -> ExitDecision:
-        """Jointly pick ``(exit, partition point)`` under a latency SLA.
-
-        One Algorithm 1 scan per exit sub-graph (each reuses its own
-        precomputed prefix/suffix arrays), then the exit axis resolves by
-        *maximum accuracy subject to deadline*: the latest exit whose best
-        partition's predicted latency is ``<= sla_s`` wins — accuracies
-        are nondecreasing in exit order, so "latest feasible" is "most
-        accurate feasible".  When no exit is feasible the decision falls
-        back to the globally fastest ``(exit, point)`` pair (strict ``<``,
-        earliest exit on ties) with ``feasible=False`` — the runtime still
-        serves the request as fast as it can.
-
-        ``sla_s=None`` (and any exit-free engine) reproduces
-        :meth:`decide` bit-for-bit: the returned ``decision`` is exactly
-        the plain scan's :class:`PartitionDecision` and no other exit is
-        evaluated.
+        Runs the same scan as :meth:`decide` but skips the argmin:
+        benchmarks and tests use this to compare arms at one fixed cut
+        (e.g. streaming+zlib vs monolithic fp32 at the same
+        transfer-dominated point).
         """
-        last = self.num_exits - 1
-        if sla_s is None:
-            d = self.decide(
-                bandwidth_up, k=k, bandwidth_down=bandwidth_down,
-                offload_only=offload_only, extra_latency_s=extra_latency_s,
-                profile=profile)
-            return ExitDecision(
-                exit_index=last, point=d.point,
-                predicted_latency=d.predicted_latency,
-                accuracy=self.exit_accuracy(), sla_s=None, feasible=True,
-                decision=d, decisions=(None,) * last + (d,))
-        if not math.isfinite(sla_s) or sla_s <= 0:
-            raise ValueError(f"sla_s must be positive and finite, got {sla_s}")
-        decisions = tuple(
-            eng.decide(bandwidth_up, k=k, bandwidth_down=bandwidth_down,
-                       offload_only=offload_only,
-                       extra_latency_s=extra_latency_s, profile=profile)
-            for eng in self._exit_engines)
-        chosen, feasible = self._pick_exit(
-            sla_s, [d.predicted_latency for d in decisions])
-        d = decisions[chosen]
-        return ExitDecision(
-            exit_index=chosen, point=d.point,
-            predicted_latency=d.predicted_latency,
-            accuracy=self.exit_accuracy(chosen), sla_s=sla_s,
-            feasible=feasible, decision=d, decisions=decisions)
+        self._check_point(point)
+        d = self.decide(bandwidth_up, k=k, streaming=streaming,
+                        bandwidth_down=bandwidth_down)
+        key = (None, None, codec_name, streamed)
+        if key not in d.cells:
+            raise ValueError(
+                f"no candidate vector for {key}; the scan offers {list(d.cells)}")
+        candidates = d.cells[key].candidates
+        value = float(candidates[point])
+        if not math.isfinite(value):
+            raise ValueError(
+                f"{key} is infeasible at point {point} (e.g. a streamed "
+                "mode whose cut fits one chunk)")
+        return self._decision(point, value, candidates, codec_name, streamed,
+                              bandwidth_up, k, self._suffix, streaming,
+                              cells=d.cells)
 
-    def decide_exit_fleet(
-        self,
-        sla_s: float | None,
-        bandwidths_up: Sequence[float | None],
-        ks: Sequence[float],
-        extra_latencies_s: Sequence[float] | None = None,
-        bandwidth_down: float | None = None,
-        allowed: Sequence[int] | None = None,
-        offload_only: bool = False,
-        profiles: Sequence[ServerProfile | None] | None = None,
-    ) -> ExitFleetDecision:
-        """Jointly pick ``(exit, partition point, server)`` across a fleet.
+    def _suffix_for(self, profile: ServerProfile | None) -> np.ndarray:
+        """Suffix array for one server profile (cached per predictor)."""
+        if profile is None or profile.edge_predictor is None:
+            return self._suffix
+        predictor = profile.edge_predictor
+        key = id(predictor)
+        entry = self._profile_suffix_cache.get(key)
+        if entry is None or entry[0] is not predictor:
+            suffix = compute_suffix_edge(predictor.predict_nodes(self.profiles))
+            entry = (predictor, suffix)
+            self._profile_suffix_cache[key] = entry
+        return entry[1]
 
-        The fleet analogue of :meth:`decide_exit`: one
-        :meth:`decide_fleet` scan per exit sub-graph, then the same exit
-        rule — latest exit whose best fleet candidate meets the SLA, else
-        the globally fastest ``(exit, point, server)`` triple (strict
-        ``<``, earliest exit on ties).  ``sla_s=None`` and exit-free
-        engines reproduce :meth:`decide_fleet` bit-for-bit.
-        """
-        last = self.num_exits - 1
-        if sla_s is None:
-            d = self.decide_fleet(
-                bandwidths_up, ks, extra_latencies_s=extra_latencies_s,
-                bandwidth_down=bandwidth_down, allowed=allowed,
-                offload_only=offload_only, profiles=profiles)
-            return ExitFleetDecision(
-                exit_index=last, point=d.point, server=d.server,
-                predicted_latency=d.predicted_latency,
-                accuracy=self.exit_accuracy(), sla_s=None, feasible=True,
-                decision=d, decisions=(None,) * last + (d,))
-        if not math.isfinite(sla_s) or sla_s <= 0:
-            raise ValueError(f"sla_s must be positive and finite, got {sla_s}")
-        decisions = tuple(
-            eng.decide_fleet(bandwidths_up, ks,
-                             extra_latencies_s=extra_latencies_s,
-                             bandwidth_down=bandwidth_down, allowed=allowed,
-                             offload_only=offload_only, profiles=profiles)
-            for eng in self._exit_engines)
-        chosen, feasible = self._pick_exit(
-            sla_s, [d.predicted_latency for d in decisions])
-        d = decisions[chosen]
-        return ExitFleetDecision(
-            exit_index=chosen, point=d.point, server=d.server,
-            predicted_latency=d.predicted_latency,
-            accuracy=self.exit_accuracy(chosen), sla_s=sla_s,
-            feasible=feasible, decision=d, decisions=decisions)
-
-    @staticmethod
-    def _pick_exit(sla_s: float, latencies: Sequence[float]) -> Tuple[int, bool]:
-        """Exit rule shared by the single-server and fleet scans.
-
-        Latest (most accurate) exit meeting the SLA; if none does, the
-        fastest exit overall — strict ``<`` on a forward scan, so the
-        earliest exit wins latency ties.  With this fallback a *tighter*
-        SLA can never select a *later* exit (SLA monotonicity): the
-        global argmin's latency is a lower bound on every feasible
-        latency at any looser SLA.
-        """
-        for e in range(len(latencies) - 1, -1, -1):
-            if latencies[e] <= sla_s:
-                return e, True
-        fastest = 0
-        for e in range(1, len(latencies)):
-            if latencies[e] < latencies[fastest]:
-                fastest = e
-        return fastest, False
-
-    # -- streaming: joint (point, codec, chunking) decision ------------------
+    # -- codec and streaming terms -------------------------------------------
 
     def codec(self, name: str):
         """Cached :class:`~repro.network.codec.TensorCodec` by name."""
@@ -628,172 +551,97 @@ class LoADPartEngine:
         names = [name for name, _nb, _op in self.cut_tensors(point)]
         return tuple((names[v], j) for v, j in self._release_entries(point))
 
-    def _wire_sizes(self, codec_name: str) -> np.ndarray:
-        """Declared wire bytes per partition point for ``codec_name``."""
-        if codec_name not in self._wire_cache:
-            codec = self.codec(codec_name)
-            n = self.num_nodes
-            wire = np.zeros(n + 1, dtype=np.int64)
-            if codec_name == "fp32":
-                # Identity codec: the wire size IS the raw cut size --
-                # computed from the same array as Algorithm 1 so the
-                # degenerate joint scan is bit-identical to decide().
-                wire[:] = [cut.upload_bytes for cut in self._cuts]
-            else:
-                for p in range(n):
-                    wire[p] = sum(codec.wire_bytes(nb, op)
-                                  for _name, nb, op in self.cut_tensors(p))
-            self._wire_cache[codec_name] = wire
-        return self._wire_cache[codec_name]
+    def _codec_terms(self, name: str) -> Tuple[np.ndarray, ...]:
+        """Per-point vectors of codec ``name``, computed once.
 
-    def decide_joint(self, bandwidth_up: float, k: float = 1.0,
-                     streaming=None,
-                     bandwidth_down: float | None = None,
-                     offload_only: bool = False) -> JointDecision:
-        """Jointly pick ``(partition point, codec, chunking)``.
-
-        For every candidate codec the mono (whole-tensor upload) objective
-        adds the declared encode/decode terms to Algorithm 1; the streamed
-        objective additionally credits upload/compute overlap via the tail
-        release schedule (see the module docstring).  Ties break toward
-        earlier codecs in ``streaming.codecs`` and the monolithic mode, and
-        within one objective vector toward the latest point, exactly like
-        Algorithm 1 — so ``StreamingConfig(codecs=("fp32",),
-        chunk_bytes=None)`` reproduces :meth:`decide` verbatim.
+        ``(wire, bits, encode_s, codec_s)``: declared wire bytes, wire
+        bits, encode seconds, and encode + decode seconds (``None`` for a
+        codec that costs exactly nothing, the identity).
         """
-        if streaming is None:
-            raise ValueError("decide_joint requires a StreamingConfig")
-        if self.upload_codec is not None:
-            raise ValueError(
-                "decide_joint is incompatible with a static upload_codec; "
-                "list the codec in StreamingConfig.codecs instead")
-        if bandwidth_up <= 0:
-            raise ValueError("upload bandwidth must be positive")
-        if k < 1.0:
-            raise ValueError(f"the influential factor k must be >= 1, got {k}")
-        download = 0.0
-        if bandwidth_down is not None:
-            if bandwidth_down <= 0:
-                raise ValueError("download bandwidth must be positive")
-            download = self.output_bytes * 8 / bandwidth_down
-
-        n = self.num_nodes
-        raw = np.asarray([cut.upload_bytes for cut in self._cuts],
-                         dtype=np.float64)
-        candidates: Dict[Tuple[str, str], np.ndarray] = {}
-        best = None  # (value, point, codec, mode) under strict-< combo order
-
-        for name in streaming.codecs:
+        if name not in self._terms_cache:
             codec = self.codec(name)
-            wire = self._wire_sizes(name)
+            if name == "fp32":
+                # Identity codec: the wire size IS the raw cut size (the
+                # per-tensor sum, by the definition of the cuts).
+                wire = np.asarray(self.sizes, dtype=np.int64)
+            else:
+                wire = np.asarray(
+                    [self._tensor_terms(name, p)[0]
+                     for p in range(self.num_nodes + 1)], dtype=np.int64)
+            raw = np.asarray(self.sizes, dtype=np.float64)
             enc = codec.encode_time_s(raw)
             dec = codec.decode_time_s(raw)
-            t_up = wire.astype(np.float64) * 8 / bandwidth_up
+            codec_s = enc + dec if enc.any() or dec.any() else None
+            self._terms_cache[name] = (wire, wire.astype(np.float64) * 8,
+                                       enc, codec_s)
+        return self._terms_cache[name]
 
-            mono = self._prefix + k * self._suffix
-            mono[:-1] += t_up[:-1] + download
-            mono += enc + dec
-            candidates[(name, "mono")] = mono
+    def _wire_sizes(self, codec_name: str) -> np.ndarray:
+        """Declared wire bytes per partition point for ``codec_name``."""
+        return self._codec_terms(codec_name)[0]
 
-            modes = [("mono", mono)]
-            if streaming.chunk_bytes is not None:
-                stream = np.full(n + 1, np.inf)
-                for p in range(n):
-                    total_wire = int(wire[p])
-                    chunks = streaming.num_chunks(total_wire)
-                    if chunks <= 1:
-                        continue  # single chunk == the monolithic candidate
-                    tensors = self.cut_tensors(p)
-                    cum_wire = np.cumsum(
-                        [codec.wire_bytes(nb, op) for _n, nb, op in tensors])
-                    t_stream = (total_wire * 8 / bandwidth_up
-                                + (chunks - 1) * streaming.chunk_overhead_s)
-                    # Per-tensor availability on the server: tensor v is
-                    # decodable once its last byte lands (its wire-prefix
-                    # fraction of the stream) and the decoder — which works
-                    # through tensors in wire order — gets to it.
-                    avail = []
-                    busy = 0.0
-                    for v, (_nm, nb, _op) in enumerate(tensors):
-                        arrival = cum_wire[v] / cum_wire[-1] * t_stream
-                        busy = max(arrival, busy) + codec.decode_time_s(
-                            float(nb))
-                        avail.append(busy)
-                    finish = 0.0
-                    for v, jstart in self._release_entries(p):
-                        term = avail[v] + k * self._suffix[jstart]
-                        finish = max(finish, term)
-                    stream[p] = self._prefix[p] + enc[p] + finish + download
-                candidates[(name, "stream")] = stream
-                modes.append(("stream", stream))
+    def _tensor_terms(self, name: str, point: int) -> Tuple[int, list, list]:
+        """Crossing-tensor terms of cut ``point`` under codec ``name``.
 
-            for mode, arr in modes:
-                scan = arr[:-1] if offload_only else arr
-                point = int(len(scan) - 1 - np.argmin(scan[::-1]))
-                value = float(scan[point])
-                if np.isfinite(value) and (best is None or value < best[0]):
-                    best = (value, point, name, mode)
-
-        value, point, name, mode = best
-        return self._build_joint(point, name, mode, value, candidates,
-                                 streaming, bandwidth_up, k)
-
-    def joint_at(self, point: int, codec_name: str, streamed: bool,
-                 bandwidth_up: float, k: float = 1.0,
-                 streaming=None,
-                 bandwidth_down: float | None = None) -> JointDecision:
-        """A :class:`JointDecision` pinned to ``(point, codec, mode)``.
-
-        Runs the same candidate computation as :meth:`decide_joint` but
-        skips the argmin: benchmarks and tests use this to compare arms at
-        one fixed cut (e.g. streaming+zlib vs monolithic fp32 at the same
-        transfer-dominated point).
+        ``(total wire bytes, cumulative wire fraction per tensor, decode
+        seconds per tensor)``, in wire order, computed once per
+        ``(codec, point)``: the total is the last entry of the
+        cumulative per-tensor wire sizes.
         """
-        self._check_point(point)
-        jd = self.decide_joint(bandwidth_up, k=k, streaming=streaming,
-                               bandwidth_down=bandwidth_down)
-        mode = "stream" if streamed else "mono"
-        key = (codec_name, mode)
-        if key not in jd.candidates:
-            raise ValueError(
-                f"no candidate vector for {key}; streaming config offers "
-                f"{sorted(jd.candidates)}")
-        value = float(jd.candidates[key][point])
-        if not math.isfinite(value):
-            raise ValueError(
-                f"{key} is infeasible at point {point} (e.g. a streamed "
-                "mode whose cut fits one chunk)")
-        return self._build_joint(point, codec_name, mode, value,
-                                 jd.candidates, streaming, bandwidth_up, k)
+        key = (name, point)
+        if key not in self._tensor_cache:
+            codec = self.codec(name)
+            tensors = self.cut_tensors(point)
+            cum = np.cumsum([codec.wire_bytes(nb, op) for _n, nb, op in tensors],
+                            dtype=np.int64)
+            total = int(cum[-1]) if len(cum) else 0
+            self._tensor_cache[key] = (
+                total,
+                (cum / cum[-1]).tolist() if total else [],
+                [codec.decode_time_s(float(nb)) for _n, nb, _op in tensors])
+        return self._tensor_cache[key]
 
-    def _build_joint(self, point: int, name: str, mode: str, value: float,
-                     candidates: Dict[Tuple[str, str], np.ndarray],
-                     streaming, bandwidth_up: float, k: float) -> JointDecision:
+    def _mono_vector(self, name: str, bandwidth_up: float, k: float,
+                     suffix: np.ndarray, download: float,
+                     extra: float) -> np.ndarray:
+        """Objective vector of one whole-tensor upload with codec ``name``:
+        Algorithm 1 on the wire sizes, plus encode/decode time."""
+        _wire, bits, _enc, codec_s = self._codec_terms(name)
+        vec = objective_vector(self._prefix, suffix, bits, bandwidth_up, k,
+                               download, extra)
+        if codec_s is not None:
+            vec += codec_s
+        return vec
+
+    def _stream_vector(self, name: str, bandwidth_up: float, k: float,
+                       suffix: np.ndarray, download: float, extra: float,
+                       streaming) -> np.ndarray:
+        """Objective vector of one chunked upload with codec ``name`` (see
+        the module docstring); ``inf`` where the cut fits one chunk."""
         n = self.num_nodes
-        codec = self.codec(name)
-        wire_b = int(self._wire_sizes(name)[point])
-        streamed = mode == "stream" and point < n
-        chunks = streaming.num_chunks(wire_b) if streamed else 1
-        upload_s = 0.0
-        if point < n:
-            upload_s = wire_b * 8 / bandwidth_up
-            if streamed:
-                upload_s += (chunks - 1) * streaming.chunk_overhead_s
-        raw_b = float(self._cuts[point].upload_bytes)
-        return JointDecision(
-            point=point,
-            codec=name,
-            streamed=streamed,
-            chunks=chunks,
-            predicted_latency=value,
-            predicted_device_s=float(self._prefix[point]),
-            predicted_encode_s=float(codec.encode_time_s(raw_b)),
-            predicted_upload_s=upload_s,
-            predicted_decode_s=float(codec.decode_time_s(raw_b)),
-            predicted_server_s=float(k * self._suffix[point]),
-            wire_bytes=wire_b,
-            candidates=candidates,
-        )
+        enc = self._codec_terms(name)[2]
+        vec = np.full(n + 1, np.inf)
+        for p in range(n):
+            total, fracs, decode_s = self._tensor_terms(name, p)
+            chunks = streaming.num_chunks(total)
+            if chunks <= 1:
+                continue  # single chunk == the monolithic candidate
+            t_stream = (total * 8 / bandwidth_up
+                        + (chunks - 1) * streaming.chunk_overhead_s)
+            # Per-tensor availability on the server: tensor v is decodable
+            # once its last byte lands (its wire-prefix fraction of the
+            # stream) and the decoder — which works through tensors in
+            # wire order — gets to it.
+            avail = []
+            busy = 0.0
+            for frac, dec in zip(fracs, decode_s):
+                busy = max(frac * t_stream, busy) + dec
+                avail.append(busy)
+            finish = 0.0
+            for v, jstart in self._release_entries(p):
+                finish = max(finish, avail[v] + k * suffix[jstart])
+            vec[p] = self._prefix[p] + enc[p] + finish + download + extra
+        return vec
 
     # -- component predictions, used by the runtime and the experiments -----
 
@@ -855,13 +703,14 @@ class LoADPartEngine:
             raise ValueError(f"partition point {point} out of range [0, {self.num_nodes}]")
 
 
-# -- differential references for the fleet scan ------------------------------
+# -- differential references for the decision scan ---------------------------
 #
-# ``decide_fleet`` must agree with these two independent implementations:
+# The scan must agree with two independent implementations:
 # ``fleet_objective`` restates Problem (1) for a single ``(point, server)``
 # pair by direct summation (no prefix/suffix arrays — numerically close,
-# not bit-equal), and ``fleet_brute_force`` enumerates every pair with the
-# scalar mirror of ``partition_decision``'s vector arithmetic (bit-equal).
+# not bit-equal), and ``brute_force`` enumerates every cell of the grid
+# with scalar loops that mirror the scan's vector arithmetic operation for
+# operation (bit-equal).
 
 
 def fleet_objective(
@@ -895,7 +744,7 @@ def fleet_objective(
     return total
 
 
-def fleet_brute_force(
+def brute_force(
     engine: LoADPartEngine,
     bandwidths_up: Sequence[float | None],
     ks: Sequence[float],
@@ -904,231 +753,142 @@ def fleet_brute_force(
     allowed: Sequence[int] | None = None,
     offload_only: bool = False,
     profiles: Sequence[ServerProfile | None] | None = None,
-) -> FleetDecision:
-    """Exhaustive ``(point, server)`` reference for ``decide_fleet``.
-
-    Enumerates every pair with explicit scalar loops, mirroring the
-    vectorised arithmetic of ``partition_decision`` operation for
-    operation (same IEEE-754 evaluation order), so the result — point,
-    server, predicted latency, and every per-server candidate vector —
-    must match ``decide_fleet`` *bitwise*, not just approximately.
-    Tie-breaks are mirrored too: last point within a server (``<=``
-    forward scan), earliest server across servers (strict ``<``).
-    """
-    num = len(bandwidths_up)
-    servers, bandwidths, extras, profiles = engine._resolve_fleet(
-        bandwidths_up, ks, extra_latencies_s, profiles, allowed
-    )
-    n = engine.num_nodes
-    prefix = engine._prefix
-    sizes = engine.sizes
-    download = 0.0
-    if bandwidth_down is not None:
-        if bandwidth_down <= 0:
-            raise ValueError("download bandwidth must be positive")
-        download = engine.output_bytes * 8 / bandwidth_down
-
-    decisions: List[PartitionDecision | None] = [None] * num
-    best_value = math.inf
-    best_server: int | None = None
-    best_point = n
-    for s in servers:
-        k = ks[s]
-        if k < 1.0:
-            raise ValueError(f"the influential factor k must be >= 1, got {k}")
-        bw = bandwidths[s]
-        if bw <= 0:
-            raise ValueError("upload bandwidth must be positive")
-        extra = extras[s]
-        if extra < 0:
-            raise ValueError("extra_latency_s must be non-negative")
-        suffix = engine._suffix_for(profiles[s])
-        vals = np.empty(n + 1, dtype=np.float64)
-        scan_len = n if offload_only else n + 1
-        sp = 0
-        sv = math.inf
-        for p in range(n + 1):
-            c = prefix[p] + k * suffix[p]
-            if p < n:
-                c = c + (sizes[p] * 8 / bw + download + extra)
-            vals[p] = c
-            if p < scan_len and c <= sv:
-                sp, sv = p, c
-        d = PartitionDecision(
-            point=sp, predicted_latency=float(vals[sp]), candidates=vals
-        )
-        decisions[s] = d
-        if d.predicted_latency < best_value:
-            best_value = d.predicted_latency
-            best_server = s
-            best_point = d.point
-    if best_server is None or best_point == n:
-        return FleetDecision(
-            point=n,
-            server=None,
-            predicted_latency=float(prefix[n]),
-            decisions=tuple(decisions),
-        )
-    return FleetDecision(
-        point=best_point,
-        server=best_server,
-        predicted_latency=best_value,
-        decisions=tuple(decisions),
-    )
-
-
-# -- differential references for the exit grid --------------------------------
-#
-# ``decide_exit`` / ``decide_exit_fleet`` must agree bitwise with these
-# exhaustive enumerations of every (exit, point) — resp. (exit, point,
-# server) — pair.  Each exit's objective vector is rebuilt with the same
-# scalar arithmetic mirrors as ``fleet_brute_force`` (independent per-exit
-# predictions via each sub-graph's own profiles), and the exit-selection
-# rule is restated with explicit loops so a bug in ``_pick_exit`` cannot
-# hide in both implementations.
-
-
-def _scalar_scan(
-    engine: LoADPartEngine,
-    bandwidth_up: float,
-    k: float,
-    bandwidth_down: float | None,
-    offload_only: bool,
-    extra_latency_s: float,
-    profile: ServerProfile | None,
+    *,
+    sla_s: float | None = None,
+    streaming=None,
+    fleet: bool = True,
 ) -> PartitionDecision:
-    """Scalar mirror of ``partition_decision`` for one exit sub-graph."""
-    if k < 1.0:
-        raise ValueError(f"the influential factor k must be >= 1, got {k}")
-    if bandwidth_up <= 0:
-        raise ValueError("upload bandwidth must be positive")
-    if extra_latency_s < 0:
-        raise ValueError("extra_latency_s must be non-negative")
-    download = 0.0
-    if bandwidth_down is not None:
-        if bandwidth_down <= 0:
-            raise ValueError("download bandwidth must be positive")
-        download = engine.output_bytes * 8 / bandwidth_down
-    n = engine.num_nodes
-    prefix = engine._prefix
-    suffix = engine._suffix_for(profile)
-    sizes = engine.sizes
-    vals = np.empty(n + 1, dtype=np.float64)
-    scan_len = n if offload_only else n + 1
-    sp = 0
-    sv = math.inf
-    for p in range(n + 1):
-        c = prefix[p] + k * suffix[p]
-        if p < n:
-            c = c + (sizes[p] * 8 / bandwidth_up + download + extra_latency_s)
-        vals[p] = c
-        if p < scan_len and c <= sv:
-            sp, sv = p, c
-    return PartitionDecision(point=sp, predicted_latency=float(vals[sp]),
-                             candidates=vals)
+    """Exhaustive scalar reference for the decision scan.
 
-
-def exit_brute_force(
-    engine: LoADPartEngine,
-    sla_s: float | None,
-    bandwidth_up: float,
-    k: float = 1.0,
-    bandwidth_down: float | None = None,
-    offload_only: bool = False,
-    extra_latency_s: float = 0.0,
-    profile: ServerProfile | None = None,
-) -> ExitDecision:
-    """Exhaustive ``(exit, point)`` reference for ``decide_exit``.
-
-    Every exit's objective vector is enumerated point by point with the
-    scalar mirror of Algorithm 1's vector arithmetic; the exit axis is
-    then resolved by explicit loops — backward for the latest feasible
-    exit, forward strict-``<`` for the no-feasible-exit fallback — so the
-    result must match ``decide_exit`` bitwise.
+    With ``fleet=True`` it mirrors :meth:`LoADPartEngine.decide_fleet`;
+    with ``fleet=False`` and one-entry sequences, :meth:`~LoADPartEngine.
+    decide` (whose ``streaming`` axis it covers too).  Every ``(exit,
+    server, codec, mode, point)`` cell is evaluated with explicit scalar
+    loops in the scan's IEEE-754 evaluation order, wire sizes are summed
+    per tensor straight from the codec (no cached totals), a streamed
+    finish time maximises over *every* gated tail node (not just the
+    release breakpoints), and each axis's tie rule is restated — ``<=``
+    forward within a vector, strict ``<`` across cells, backward search
+    then strict-``<`` fallback across exits — so the result, every cell
+    row and the per-stage times must match the scan *bitwise*.
     """
+    links = engine._links(bandwidths_up, ks, extra_latencies_s, profiles,
+                          allowed, fleet=fleet)
+    if sla_s is not None:
+        check_sla(sla_s)
+    codecs = ("fp32",) if streaming is None else streaming.codecs
+    modes = ((False,) if streaming is None or streaming.chunk_bytes is None
+             else (False, True))
     last = engine.num_exits - 1
-    if sla_s is None:
-        d = _scalar_scan(engine, bandwidth_up, k, bandwidth_down,
-                         offload_only, extra_latency_s, profile)
-        return ExitDecision(
-            exit_index=last, point=d.point,
-            predicted_latency=d.predicted_latency,
-            accuracy=engine.exit_accuracy(), sla_s=None, feasible=True,
-            decision=d, decisions=(None,) * last + (d,))
-    decisions = tuple(
-        _scalar_scan(engine.exit_engine(e), bandwidth_up, k, bandwidth_down,
-                     offload_only, extra_latency_s, profile)
-        for e in range(last + 1))
-    chosen = None
-    feasible = True
-    for e in range(last, -1, -1):
-        if decisions[e].predicted_latency <= sla_s:
-            chosen = e
-            break
-    if chosen is None:
+    exits = range(last + 1) if sla_s is not None else [last]
+    open_exits = engine.has_exits and sla_s is not None
+    cells: Dict[Cell, PartitionDecision] = {}
+    bests = []
+    for e in exits:
+        eng = engine.exit_engine(e)
+        n = eng.num_nodes
+        prefix = eng._prefix
+        order = eng.graph.topological_order()
+        download = (0.0 if bandwidth_down is None
+                    else eng.output_bytes * 8 / bandwidth_down)
+        best, best_value = None, math.inf
+        for server, bw, k, extra, profile in links:
+            suffix = eng._suffix_for(profile)
+            for name in codecs:
+                codec = eng.codec(name)
+                for streamed in modes:
+                    vals = np.empty(n + 1, dtype=np.float64)
+                    sp, sv = 0, math.inf
+                    for p in range(n + 1):
+                        tensors = eng.cut_tensors(p)
+                        wires = [codec.wire_bytes(nb, op) for _t, nb, op in tensors]
+                        raw = float(eng.sizes[p])
+                        if not streamed:
+                            c = prefix[p] + k * suffix[p]
+                            if p < n:
+                                c = c + (sum(wires) * 8 / bw + download + extra)
+                            c = c + (codec.encode_time_s(raw)
+                                     + codec.decode_time_s(raw))
+                        else:
+                            c = math.inf
+                            total = sum(wires)
+                            chunks = streaming.num_chunks(total)
+                            if p < n and chunks > 1:
+                                t_stream = (total * 8 / bw + (chunks - 1)
+                                            * streaming.chunk_overhead_s)
+                                avail, busy, cum = [], 0.0, 0
+                                for (_t, nb, _op), w in zip(tensors, wires):
+                                    cum += w
+                                    busy = (max(cum / total * t_stream, busy)
+                                            + codec.decode_time_s(float(nb)))
+                                    avail.append(busy)
+                                index = {t: v for v, (t, _nb, _op)
+                                         in enumerate(tensors)}
+                                finish, release = 0.0, -1
+                                for j in range(p, n):
+                                    for dep in eng.graph.node(order[j]).inputs:
+                                        release = max(release, index.get(dep, -1))
+                                    if release >= 0:
+                                        finish = max(finish, avail[release]
+                                                     + k * suffix[j])
+                                c = (prefix[p] + codec.encode_time_s(raw)
+                                     + finish + download + extra)
+                        vals[p] = c
+                        if (p < n or not offload_only) and c <= sv:
+                            sp, sv = p, c
+                    value = float(vals[sp])
+                    exit_index = e if open_exits else None
+                    row = PartitionDecision(
+                        point=sp, predicted_latency=value, candidates=vals,
+                        server=server, exit_index=exit_index,
+                        accuracy=engine.exit_accuracy(e), sla_s=sla_s,
+                        feasible=sla_s is None or value <= sla_s,
+                        codec=name, streamed=streamed)
+                    cells[(exit_index, server, name, streamed)] = row
+                    if value < best_value:
+                        best, best_value = (row, bw, k, suffix), value
+        if best is None:
+            local = np.full(n + 1, math.inf)
+            local[n] = prefix[n]
+            best = (PartitionDecision(n, float(prefix[n]), local),
+                    1.0, 1.0, eng._suffix)
+        bests.append(best)
+
+    latencies = [row.predicted_latency for row, *_ in bests]
+    chosen, feasible = 0, True
+    if sla_s is not None:
         feasible = False
-        chosen = 0
-        for e in range(1, last + 1):
-            if decisions[e].predicted_latency < decisions[chosen].predicted_latency:
-                chosen = e
-    d = decisions[chosen]
-    return ExitDecision(
-        exit_index=chosen, point=d.point,
-        predicted_latency=d.predicted_latency,
-        accuracy=engine.exit_accuracy(chosen), sla_s=sla_s,
-        feasible=feasible, decision=d, decisions=decisions)
-
-
-def exit_fleet_brute_force(
-    engine: LoADPartEngine,
-    sla_s: float | None,
-    bandwidths_up: Sequence[float | None],
-    ks: Sequence[float],
-    extra_latencies_s: Sequence[float] | None = None,
-    bandwidth_down: float | None = None,
-    allowed: Sequence[int] | None = None,
-    offload_only: bool = False,
-    profiles: Sequence[ServerProfile | None] | None = None,
-) -> ExitFleetDecision:
-    """Exhaustive ``(exit, point, server)`` reference for ``decide_exit_fleet``.
-
-    Per exit, :func:`fleet_brute_force` enumerates every ``(point,
-    server)`` pair; the exit axis is then resolved with the same explicit
-    loops as :func:`exit_brute_force`.
-    """
-    last = engine.num_exits - 1
-    if sla_s is None:
-        d = fleet_brute_force(
-            engine, bandwidths_up, ks, extra_latencies_s=extra_latencies_s,
-            bandwidth_down=bandwidth_down, allowed=allowed,
-            offload_only=offload_only, profiles=profiles)
-        return ExitFleetDecision(
-            exit_index=last, point=d.point, server=d.server,
-            predicted_latency=d.predicted_latency,
-            accuracy=engine.exit_accuracy(), sla_s=None, feasible=True,
-            decision=d, decisions=(None,) * last + (d,))
-    decisions = tuple(
-        fleet_brute_force(
-            engine.exit_engine(e), bandwidths_up, ks,
-            extra_latencies_s=extra_latencies_s,
-            bandwidth_down=bandwidth_down, allowed=allowed,
-            offload_only=offload_only, profiles=profiles)
-        for e in range(last + 1))
-    chosen = None
-    feasible = True
-    for e in range(last, -1, -1):
-        if decisions[e].predicted_latency <= sla_s:
-            chosen = e
-            break
-    if chosen is None:
-        feasible = False
-        chosen = 0
-        for e in range(1, last + 1):
-            if decisions[e].predicted_latency < decisions[chosen].predicted_latency:
-                chosen = e
-    d = decisions[chosen]
-    return ExitFleetDecision(
-        exit_index=chosen, point=d.point, server=d.server,
-        predicted_latency=d.predicted_latency,
-        accuracy=engine.exit_accuracy(chosen), sla_s=sla_s,
-        feasible=feasible, decision=d, decisions=decisions)
+        for i in range(len(latencies) - 1, -1, -1):
+            if latencies[i] <= sla_s:
+                chosen, feasible = i, True
+                break
+        else:
+            for i in range(1, len(latencies)):
+                if latencies[i] < latencies[chosen]:
+                    chosen = i
+    e = exits[chosen]
+    eng = engine.exit_engine(e)
+    n = eng.num_nodes
+    row, bw, k, suffix = bests[chosen]
+    point, name, streamed = row.point, row.codec, row.streamed
+    codec = eng.codec(name)
+    wire_b = sum(codec.wire_bytes(nb, op) for _t, nb, op in eng.cut_tensors(point))
+    chunks = streaming.num_chunks(wire_b) if streamed else 1
+    upload_s = 0.0
+    if point < n:
+        upload_s = wire_b * 8 / bw
+        if streamed:
+            upload_s += (chunks - 1) * streaming.chunk_overhead_s
+    raw = float(eng.sizes[point])
+    return PartitionDecision(
+        point=point, predicted_latency=row.predicted_latency,
+        candidates=row.candidates,
+        server=None if point == n else row.server,
+        exit_index=e if open_exits else None,
+        accuracy=engine.exit_accuracy(e), sla_s=sla_s,
+        feasible=feasible, codec=name, streamed=streamed, chunks=chunks,
+        wire_bytes=wire_b, predicted_device_s=float(eng._prefix[point]),
+        predicted_encode_s=float(codec.encode_time_s(raw)),
+        predicted_upload_s=upload_s,
+        predicted_decode_s=float(codec.decode_time_s(raw)),
+        predicted_server_s=float(k * suffix[point]), cells=cells)

@@ -32,6 +32,8 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.core.engine import check_sla, pick_exit
+
 
 @dataclass(frozen=True)
 class MultiTierDecision:
@@ -172,9 +174,10 @@ def multi_tier_exit_decision(
     ``exit_workloads`` holds one ``(device_times, edge_times, cloud_times,
     sizes)`` tuple per exit, earliest first, final exit last.  Each exit
     gets its own O(n) two-cut scan; the exit axis then resolves exactly
-    like :meth:`LoADPartEngine.decide_exit` — latest exit whose optimum
-    meets the SLA, else the globally fastest exit (strict ``<``, earliest
-    on ties).  ``sla_s=None`` evaluates only the final exit, making the
+    like the engine's decisions — :func:`~repro.core.engine.pick_exit`:
+    latest exit whose optimum meets the SLA, else the globally fastest
+    exit (strict ``<``, earliest on ties); ``sla_s`` must be positive
+    and finite.  ``sla_s=None`` evaluates only the final exit, making the
     wrapper a zero-cost alias of :func:`multi_tier_decision`.
     """
     if not exit_workloads:
@@ -196,20 +199,12 @@ def multi_tier_exit_decision(
         return MultiTierExitDecision(
             exit_index=last, feasible=True, decision=d,
             decisions=(None,) * last + (d,))
-    if sla_s <= 0:
-        raise ValueError(f"sla_s must be positive, got {sla_s}")
+    check_sla(sla_s)
     decisions = tuple(scan(w) for w in exit_workloads)
-    for e in range(last, -1, -1):
-        if decisions[e].predicted_latency <= sla_s:
-            return MultiTierExitDecision(
-                exit_index=e, feasible=True, decision=decisions[e],
-                decisions=decisions)
-    fastest = 0
-    for e in range(1, last + 1):
-        if decisions[e].predicted_latency < decisions[fastest].predicted_latency:
-            fastest = e
+    chosen, feasible = pick_exit(
+        sla_s, [d.predicted_latency for d in decisions])
     return MultiTierExitDecision(
-        exit_index=fastest, feasible=False, decision=decisions[fastest],
+        exit_index=chosen, feasible=feasible, decision=decisions[chosen],
         decisions=decisions)
 
 

@@ -20,25 +20,59 @@ local execution when offloading buys nothing).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, field
+from typing import Mapping, Sequence, Tuple
 
 import numpy as np
 
 
+#: Coordinates of one cell of the decision grid: ``(exit_index, server,
+#: codec, streamed)``.  An axis the scan did not open is ``None`` (exit,
+#: server) or the default (``"fp32"``, ``False``).
+Cell = Tuple[int | None, int | None, str, bool]
+
+
 @dataclass(frozen=True)
 class PartitionDecision:
-    """Result of one run of Algorithm 1.
+    """Result of one partition decision.
 
     ``point`` is the chosen ``p`` (0 = full offloading, n = local
     inference); ``predicted_latency`` its objective value; ``candidates``
-    the full objective vector (index = partition point), useful for
-    plotting Fig. 1-style landscapes.
+    the full objective vector (index = partition point) of the winning
+    grid cell, useful for plotting Fig. 1-style landscapes.  Algorithm 1
+    alone fills only these three.
+
+    The engine's grid scan (:meth:`~repro.core.engine.LoADPartEngine.decide`
+    and :meth:`~repro.core.engine.LoADPartEngine.decide_fleet`) fills the
+    rest: ``server`` is the chosen fleet index (``None`` for local
+    inference or a single-server scan); ``exit_index`` the chosen early
+    exit (``None`` unless an SLA opened the exit axis of an exit-carrying
+    engine); ``accuracy`` that exit's declared accuracy; ``feasible``
+    whether the prediction meets ``sla_s``; ``codec``/``streamed``/
+    ``chunks``/``wire_bytes`` the upload; ``predicted_*_s`` the per-stage
+    breakdown; and ``cells`` maps every evaluated :data:`Cell` to its own
+    row decision (that cell's best point), for tests and the gateway's
+    near-tie rotation.
     """
 
     point: int
     predicted_latency: float
     candidates: np.ndarray
+    server: int | None = None
+    exit_index: int | None = None
+    accuracy: float = 1.0
+    sla_s: float | None = None
+    feasible: bool = True
+    codec: str = "fp32"
+    streamed: bool = False
+    chunks: int = 1
+    wire_bytes: int | None = None
+    predicted_device_s: float = 0.0
+    predicted_encode_s: float = 0.0
+    predicted_upload_s: float = 0.0
+    predicted_decode_s: float = 0.0
+    predicted_server_s: float = 0.0
+    cells: Mapping[Cell, "PartitionDecision"] = field(default_factory=dict)
 
     @property
     def is_local(self) -> bool:
@@ -134,23 +168,39 @@ def partition_decision(
     if suffix is None:
         suffix = compute_suffix_edge(edge_times)
 
-    sizes_arr = np.asarray(sizes, dtype=np.float64)
     download = 0.0
     if bandwidth_down is not None:
         if bandwidth_down <= 0:
             raise ValueError("download bandwidth must be positive")
         download = output_bytes * 8 / bandwidth_down
 
-    candidates = prefix + k * suffix
-    candidates[:-1] += sizes_arr[:-1] * 8 / bandwidth_up + download + extra_latency_s
-    # candidates[n] is pure local inference: no network, no server term
-    # (suffix[n] == 0 by construction).
-
-    # The pseudo-code's `curVal <= minVal` keeps the LAST minimiser.
-    scan = candidates[:-1] if offload_only else candidates
-    best = int(len(scan) - 1 - np.argmin(scan[::-1]))
+    bits = np.asarray(sizes, dtype=np.float64) * 8
+    candidates = objective_vector(prefix, suffix, bits, bandwidth_up, k,
+                                  download, extra_latency_s)
+    best = latest_argmin(candidates, offload_only)
     return PartitionDecision(
         point=best,
         predicted_latency=float(candidates[best]),
         candidates=candidates,
     )
+
+
+def objective_vector(prefix: np.ndarray, suffix: np.ndarray, bits: np.ndarray,
+                     bandwidth_up: float, k: float, download: float = 0.0,
+                     extra_latency_s: float = 0.0) -> np.ndarray:
+    """Problem (1) at every partition point, from the prefix/suffix arrays.
+
+    ``bits`` is the upload size ``s_p * 8`` per point.  ``candidates[n]``
+    is pure local inference: no network, no server term (``suffix[n] ==
+    0`` by construction).
+    """
+    candidates = prefix + k * suffix
+    candidates[:-1] += bits[:-1] / bandwidth_up + download + extra_latency_s
+    return candidates
+
+
+def latest_argmin(candidates: np.ndarray, offload_only: bool = False) -> int:
+    """The pseudo-code's ``curVal <= minVal`` scan: the LAST minimiser,
+    over every point or (``offload_only``) every point but local."""
+    scan = candidates[:-1] if offload_only else candidates
+    return int(len(scan) - 1 - np.argmin(scan[::-1]))

@@ -5,8 +5,8 @@ intermediate backbone node.  A request served at exit ``e`` executes only
 the backbone prefix that exit depends on plus its head — cheaper and less
 accurate than the full network.  Each exit declares an **accuracy proxy**
 (a scalar in ``(0, 1]``, e.g. held-out top-1): the engine maximises this
-proxy subject to a latency SLA (see
-:meth:`repro.core.engine.LoADPartEngine.decide_exit`).
+proxy subject to a latency SLA (the ``sla_s`` argument of
+:meth:`repro.core.engine.LoADPartEngine.decide`).
 
 Representation: every exit is its *own* :class:`ComputationGraph` — the
 ancestor closure of the attach node (re-added in backbone topological

@@ -6,8 +6,8 @@ hundreds of milliseconds.  :class:`StreamingConfig` opts a system into
 the streaming pipeline:
 
 - the cut tensors are encoded with one of ``codecs`` (chosen *jointly*
-  with the partition point by
-  :meth:`~repro.core.engine.LoADPartEngine.decide_joint`),
+  with the partition point by the codec and mode axes of
+  :meth:`~repro.core.engine.LoADPartEngine.decide`),
 - the encoded byte stream is uploaded in ``chunk_bytes`` chunks
   (:meth:`~repro.network.channel.Channel.try_upload_stream`), and
 - the server begins executing tail layers as soon as their boundary

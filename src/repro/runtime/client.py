@@ -26,7 +26,7 @@ from typing import Dict, Protocol, Tuple
 import numpy as np
 
 from repro.core.cache import PartitionCache
-from repro.core.engine import JointDecision, LoADPartEngine
+from repro.core.engine import LoADPartEngine
 from repro.core.partition_algorithm import PartitionDecision
 from repro.graph.partitioner import GraphPartitioner, PartitionedGraph
 from repro.hardware.device_model import DeviceModel
@@ -41,9 +41,16 @@ from repro.runtime.server import PARTITION_OVERHEAD_S, EdgeServer
 
 
 class DecisionPolicy(Protocol):
-    """Pluggable decision strategies (LoADPart, Neurosurgeon, local, full)."""
+    """Pluggable decision strategies (LoADPart, Neurosurgeon, local, full).
 
-    def decide(self, bandwidth_up: float, k: float = 1.0) -> PartitionDecision: ...
+    ``sla_s`` and ``streaming`` open the engine's exit and codec axes; a
+    policy without those axes accepts and ignores them.
+    """
+
+    def decide(self, bandwidth_up: float, k: float = 1.0, *,
+               sla_s: float | None = None,
+               streaming: StreamingConfig | None = None,
+               ) -> PartitionDecision: ...
 
 
 @dataclass
@@ -126,11 +133,6 @@ class UserDevice:
         self.channel = channel
         self.policy = policy if policy is not None else engine
         self.streaming = streaming
-        if streaming is not None and not hasattr(self.policy, "decide_joint"):
-            raise ValueError(
-                "streaming requires a policy with decide_joint (the "
-                "LoADPart engine or a pinned joint policy); "
-                f"got {type(self.policy).__name__}")
         self.sla_s = sla_s
         if sla_s is not None:
             if not math.isfinite(sla_s) or sla_s <= 0:
@@ -373,7 +375,6 @@ class UserDevice:
         budget = self.sla_s if sla_budget_s is None else sla_budget_s
         n = self.engine.num_nodes
         timeout_s = 0.0
-        joint: JointDecision | None = None
         exit_index: int | None = None
         active = self.engine
         if force_local:
@@ -381,19 +382,11 @@ class UserDevice:
             # accuracy is never sacrificed blind (without a live decision).
             point = n
         else:
-            if self.streaming is not None:
-                joint = self.policy.decide_joint(bandwidth, k=k,
-                                                 streaming=self.streaming)
-                decision = joint
-            elif (self.sla_s is not None
-                    and hasattr(self.policy, "decide_exit")):
-                ed = self.policy.decide_exit(budget, bandwidth, k=k)
-                decision = ed.decision
-                if self.engine.has_exits:
-                    exit_index = ed.exit_index
-                    active = self.engine.exit_engine(exit_index)
-            else:
-                decision = self.policy.decide(bandwidth, k=k)
+            decision = self.policy.decide(bandwidth, k=k, sla_s=budget,
+                                          streaming=self.streaming)
+            exit_index = decision.exit_index
+            if exit_index is not None:
+                active = self.engine.exit_engine(exit_index)
             point = decision.point
             if self.resilience is not None and point < active.num_nodes:
                 timeout_s = self.resilience.timeout_for(
@@ -439,12 +432,12 @@ class UserDevice:
                          if self.sla_s is not None else None),
             )
 
-        codec_name = joint.codec if joint is not None else "fp32"
-        encode_s = joint.predicted_encode_s if joint is not None else 0.0
-        decode_s = joint.predicted_decode_s if joint is not None else 0.0
-        wire_bytes = (joint.wire_bytes if joint is not None
+        codec_name = decision.codec
+        encode_s = decision.predicted_encode_s
+        decode_s = decision.predicted_decode_s
+        wire_bytes = (decision.wire_bytes if decision.wire_bytes is not None
                       else partitioned.upload_bytes)
-        streamed = joint is not None and joint.streamed
+        streamed = decision.streamed
         if transfers is not None and codec_name != "fp32":
             # The functional payload really goes through the codec, so
             # lossy results are genuinely tolerance-bounded and lossless

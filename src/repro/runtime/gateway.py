@@ -44,12 +44,7 @@ from typing import Deque, Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.engine import (
-    ExitDecision,
-    FleetDecision,
-    LoADPartEngine,
-    ServerProfile,
-)
+from repro.core.engine import LoADPartEngine, ServerProfile
 from repro.core.partition_algorithm import PartitionDecision
 from repro.network.channel import Channel, NetworkParams
 from repro.network.faults import FaultyChannel, ServerFaultPlan
@@ -185,7 +180,7 @@ class EdgeGateway:
         self.routed_counts: Dict[int, int] = {sid: 0 for sid in self._ids}
         #: Requests resolved locally because every live server was saturated.
         self.rejected_count = 0
-        self.last_decision: FleetDecision | None = None
+        self.last_decision: PartitionDecision | None = None
 
     def _extra_latencies(self) -> List[float]:
         """Per-server relative link penalties for the fleet scan.
@@ -253,26 +248,30 @@ class EdgeGateway:
         self._credits[index] -= sum(weights)
         return index
 
-    def _local_decision(self, bandwidth_up: float, k: float) -> PartitionDecision:
-        d = self.engine.decide(bandwidth_up, k=k)
-        n = self.engine.num_nodes
-        return PartitionDecision(point=n,
-                                 predicted_latency=float(d.candidates[n]),
-                                 candidates=d.candidates)
+    def _local_decision(self, sla_s: float | None) -> PartitionDecision:
+        """Local resolution: the scan over no server at all, so every exit
+        offers only its local candidate (and an SLA still picks the exit)."""
+        return self.engine.decide_fleet((), (), sla_s=sla_s)
 
     def route(self, now_s: float, bandwidth_fallback: float, k_fallback: float,
-              exclude: Sequence[int] = (),
+              exclude: Sequence[int] = (), sla_s: float | None = None,
               ) -> Tuple[int | None, PartitionDecision]:
-        """Pick ``(server, partition decision)`` for one offload request.
+        """Pick ``(server, decision)`` for one offload request.
 
         ``bandwidth_fallback`` / ``k_fallback`` are the requesting
         client's own §IV estimates, used for any server the supervisor
         has no fresh data about.  ``exclude`` lists servers the caller
         would rather avoid (the previously-failed server of a retry); it
         is a preference — when it empties the candidate pool, the full
-        pool is used instead.  Returns ``(None, local decision)`` when
-        the whole fleet is dark or saturated, or when local inference
-        wins on merit.
+        pool is used instead.  ``sla_s`` opens the engine's exit axis: the
+        joint ``(exit, point, server)`` decision.  Returns ``(None, local
+        decision)`` when the whole fleet is dark or saturated, or when
+        local inference wins on merit.
+
+        Near-tie rotation happens *within* the chosen exit's per-server
+        cells, and — when the decision meets its SLA — only among servers
+        still predicted to meet it, so rotation never trades a met
+        deadline for load spreading.
         """
         sup = self.supervisor
         for sid in self._ids:
@@ -284,7 +283,7 @@ class EdgeGateway:
             pool = list(sup.live_servers())
         if not pool:
             self.last_decision = None
-            return None, self._local_decision(bandwidth_fallback, k_fallback)
+            return None, self._local_decision(sla_s)
         preferred = [sid for sid in pool if sid not in exclude] or pool
         admitted = [sid for sid in preferred if self._has_room(sid, now_s)]
         if not admitted:
@@ -292,7 +291,7 @@ class EdgeGateway:
         if not admitted:
             self.rejected_count += 1
             self.last_decision = None
-            return None, self._local_decision(bandwidth_fallback, k_fallback)
+            return None, self._local_decision(sla_s)
 
         bandwidths = [
             sup.bandwidth_for(sid, self._bandwidth_prior(i, bandwidth_fallback))
@@ -303,160 +302,50 @@ class EdgeGateway:
             extra_latencies_s=self._extra_latencies(),
             allowed=[self._index(sid) for sid in admitted],
             profiles=self.profiles,
+            sla_s=sla_s,
         )
         self.last_decision = decision
         if decision.server is None:
-            # Local inference won on merit; hand back the winning vector.
-            best = next((d for d in decision.decisions if d is not None), None)
-            if best is None:
-                return None, self._local_decision(bandwidth_fallback, k_fallback)
-            return None, PartitionDecision(
-                point=self.engine.num_nodes,
-                predicted_latency=decision.predicted_latency,
-                candidates=best.candidates)
+            return None, decision  # local inference won on merit
         # Rotate among near-tied servers (see
         # ``GatewayConfig.rebalance_tolerance``): a strictly-better
         # server (beyond the band) still wins outright, and a 1-server
         # fleet has no siblings to rotate to — the degenerate identity
         # is untouched.
         band = decision.predicted_latency * (1.0 + self.config.rebalance_tolerance)
-        ties = [i for i, d in enumerate(decision.decisions)
-                if d is not None and d.point < self.engine.num_nodes
-                and d.predicted_latency <= band]
-        index = self._pick_tied(ties, ks)
-        sid = self._ids[index]
-        if self.config.admission_limit is not None:
-            self._admitted[sid].append(now_s)
-        self.routed_counts[sid] += 1
-        chosen = decision.decisions[index]
-        assert chosen is not None
-        return sid, chosen
-
-    # -- SLA-aware routing -----------------------------------------------------
-
-    def _local_exit_decision(self, sla_s: float | None, bandwidth_up: float,
-                             k: float) -> Tuple[int, PartitionDecision, bool]:
-        """Local resolution of an SLA request: the exit rule over the
-        fully-local candidates of every exit (latest exit whose local time
-        meets the SLA, else the fastest local exit)."""
-        latencies: List[float] = []
-        pds: List[PartitionDecision] = []
-        for e in range(self.engine.num_exits):
-            eng = self.engine.exit_engine(e)
-            d = eng.decide(bandwidth_up, k=k)
-            n = eng.num_nodes
-            pds.append(PartitionDecision(
-                point=n, predicted_latency=float(d.candidates[n]),
-                candidates=d.candidates))
-            latencies.append(float(d.candidates[n]))
-        if sla_s is None:
-            return len(pds) - 1, pds[-1], True
-        e, feasible = self.engine._pick_exit(sla_s, latencies)
-        return e, pds[e], feasible
-
-    def route_exit(self, now_s: float, sla_s: float | None,
-                   bandwidth_fallback: float, k_fallback: float,
-                   exclude: Sequence[int] = (),
-                   ) -> Tuple[int | None, int, PartitionDecision, bool]:
-        """SLA-aware routing: the joint ``(exit, point, server)`` decision.
-
-        Mirrors :meth:`route` with the exit axis on top: one fleet scan per
-        exit sub-graph, then the engine's exit rule (latest SLA-feasible
-        exit, else the globally fastest).  Near-tie rotation happens
-        *within* the chosen exit's per-server scans, and — when the exit is
-        SLA-feasible — only among servers still predicted to meet the SLA,
-        so rotation never trades a met deadline for load spreading.
-        Returns ``(server_id | None, exit_index, decision, feasible)``.
-        """
-        sup = self.supervisor
-        for sid in self._ids:
-            sup.detect_restart(sid, now_s)
-        pool = [sid for sid in self._ids if sup.routable(sid)]
-        if not pool:
-            pool = list(sup.live_servers())
-        if not pool:
-            self.last_decision = None
-            return (None,) + self._local_exit_decision(
-                sla_s, bandwidth_fallback, k_fallback)
-        preferred = [sid for sid in pool if sid not in exclude] or pool
-        admitted = [sid for sid in preferred if self._has_room(sid, now_s)]
-        if not admitted:
-            admitted = [sid for sid in pool if self._has_room(sid, now_s)]
-        if not admitted:
-            self.rejected_count += 1
-            self.last_decision = None
-            return (None,) + self._local_exit_decision(
-                sla_s, bandwidth_fallback, k_fallback)
-
-        bandwidths = [
-            sup.bandwidth_for(sid, self._bandwidth_prior(i, bandwidth_fallback))
-            for i, sid in enumerate(self._ids)]
-        ks = [sup.k_for(sid, now_s, k_fallback) for sid in self._ids]
-        fd = self.engine.decide_exit_fleet(
-            sla_s, bandwidths, ks,
-            extra_latencies_s=self._extra_latencies(),
-            allowed=[self._index(sid) for sid in admitted],
-            profiles=self.profiles,
-        )
-        chosen_fleet = fd.decision
-        self.last_decision = chosen_fleet
-        n_e = self.engine.exit_engine(fd.exit_index).num_nodes
-        if chosen_fleet.server is None:
-            best = next((d for d in chosen_fleet.decisions if d is not None),
-                        None)
-            if best is None:
-                return (None,) + self._local_exit_decision(
-                    sla_s, bandwidth_fallback, k_fallback)
-            return None, fd.exit_index, PartitionDecision(
-                point=n_e,
-                predicted_latency=chosen_fleet.predicted_latency,
-                candidates=best.candidates), fd.feasible
-        band = chosen_fleet.predicted_latency * (
-            1.0 + self.config.rebalance_tolerance)
-        if sla_s is not None and fd.feasible:
+        if sla_s is not None and decision.feasible:
             band = min(band, sla_s)
-        ties = [i for i, d in enumerate(chosen_fleet.decisions)
-                if d is not None and d.point < n_e
-                and d.predicted_latency <= band]
-        index = self._pick_tied(ties, ks)
+        ties = [row for row in decision.cells.values()
+                if row.exit_index == decision.exit_index and not row.is_local
+                and row.predicted_latency <= band]
+        index = self._pick_tied([row.server for row in ties], ks)
         sid = self._ids[index]
         if self.config.admission_limit is not None:
             self._admitted[sid].append(now_s)
         self.routed_counts[sid] += 1
-        chosen = chosen_fleet.decisions[index]
-        assert chosen is not None
-        return sid, fd.exit_index, chosen, fd.feasible
+        return sid, next(row for row in ties if row.server == index)
 
-
-class _GatewayPolicy:
-    """DecisionPolicy adapter: ``decide`` asks the gateway to route.
-
-    Routing mutates the owning device's ``server``/``channel`` to the
-    chosen sibling *before* the upload starts — the decision IS the
-    routing step, exactly where the single-server runtime runs
-    Algorithm 1.
-    """
-
-    def __init__(self, device: "GatewayDevice") -> None:
-        self._device = device
-
-    def decide(self, bandwidth_up: float, k: float = 1.0) -> PartitionDecision:
-        return self._device._route_decide(bandwidth_up, k)
-
-    def decide_exit(self, sla_s: float | None, bandwidth_up: float,
-                    k: float = 1.0) -> ExitDecision:
-        return self._device._route_decide_exit(sla_s, bandwidth_up, k)
+    #: The SLA-aware name of :meth:`route` (the per-layer benchmark traces
+    #: both).
+    route_exit = route
 
 
 class GatewayDevice(UserDevice):
-    """A user device whose offloads go through an :class:`EdgeGateway`."""
+    """A user device whose offloads go through an :class:`EdgeGateway`.
+
+    The device is its own decision policy: :meth:`decide` asks the
+    gateway to route, and routing mutates the device's ``server`` /
+    ``channel`` to the chosen sibling *before* the upload starts — the
+    decision IS the routing step, exactly where the single-server runtime
+    runs Algorithm 1.
+    """
 
     def __init__(self, engine: LoADPartEngine, gateway: EdgeGateway,
                  **kwargs) -> None:
         super().__init__(engine, gateway.ports[0], gateway.channels[0],
                          policy=None, **kwargs)
         self.gateway = gateway
-        self.policy = _GatewayPolicy(self)
+        self.policy = self
         self._now_s = 0.0
         self._retrying = False
         self._routed_request_id: int | None = None
@@ -475,42 +364,21 @@ class GatewayDevice(UserDevice):
             self._routed_request_id = result.request_id
         return result
 
-    def _route_decide(self, bandwidth_up: float, k: float) -> PartitionDecision:
+    def decide(self, bandwidth_up: float, k: float = 1.0, *,
+               sla_s: float | None = None, streaming=None) -> PartitionDecision:
+        """Route one request (``streaming`` is rejected before any device
+        exists, see :class:`GatewayFleetSystem`)."""
         exclude: Tuple[int, ...] = ()
         if self._retrying and self._routed_server_id is not None:
             exclude = (self._routed_server_id,)
         sid, decision = self.gateway.route(
-            self._now_s, bandwidth_up, k, exclude=exclude)
+            self._now_s, bandwidth_up, k, exclude=exclude, sla_s=sla_s)
         if sid is not None:
             index = self.gateway._index(sid)
             self.server = self.gateway.ports[index]
             self.channel = self.gateway.channels[index]
             self._routed_server_id = sid
         return decision
-
-    def _route_decide_exit(self, sla_s: float | None, bandwidth_up: float,
-                           k: float) -> ExitDecision:
-        exclude: Tuple[int, ...] = ()
-        if self._retrying and self._routed_server_id is not None:
-            exclude = (self._routed_server_id,)
-        sid, exit_index, decision, feasible = self.gateway.route_exit(
-            self._now_s, sla_s, bandwidth_up, k, exclude=exclude)
-        if sid is not None:
-            index = self.gateway._index(sid)
-            self.server = self.gateway.ports[index]
-            self.channel = self.gateway.channels[index]
-            self._routed_server_id = sid
-        return ExitDecision(
-            exit_index=exit_index,
-            point=decision.point,
-            predicted_latency=decision.predicted_latency,
-            accuracy=self.engine.exit_accuracy(
-                exit_index if self.engine.has_exits else None),
-            sla_s=sla_s,
-            feasible=feasible,
-            decision=decision,
-            decisions=(None,) * self.engine.num_exits,
-        )
 
 
 class GatewayFleetSystem:

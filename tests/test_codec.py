@@ -6,6 +6,7 @@ import pytest
 from repro.core.engine import LoADPartEngine
 from repro.models import build_model
 from repro.network.codec import TensorCodec
+from repro.network.streaming import StreamingConfig
 
 
 class TestWireSizes:
@@ -162,28 +163,29 @@ class TestRoundTripMatrix:
             assert float(np.abs(out - x).max()) <= codec.error_bound(x)
 
 
+def _codec_only(name):
+    """The codec axis narrowed to one whole-tensor codec."""
+    return StreamingConfig(codecs=(name,), chunk_bytes=None, allow_lossy=True)
+
+
 class TestDecisionImpact:
     def test_compression_shifts_point_earlier(self, trained_report):
         """Cheaper uploads never push the partition point later."""
-        graph = build_model("squeezenet")
-        points = {}
-        for name in ("fp32", "fp16", "int8"):
-            engine = LoADPartEngine(
-                graph, trained_report.user_predictor, trained_report.edge_predictor,
-                upload_codec=TensorCodec(name),
-            )
-            points[name] = engine.decide(4e6).point
+        engine = LoADPartEngine(build_model("squeezenet"),
+                                trained_report.user_predictor,
+                                trained_report.edge_predictor)
+        points = {name: engine.decide(4e6, streaming=_codec_only(name)).point
+                  for name in ("fp32", "fp16", "int8")}
         assert points["int8"] <= points["fp16"] <= points["fp32"]
 
     def test_int8_rescues_low_bandwidth_offloading(self, trained_report):
         """At 2 Mbps SqueezeNet is local with fp32 uploads but can offload
         partially once uploads shrink 4x."""
-        graph = build_model("squeezenet")
-        fp32 = LoADPartEngine(graph, trained_report.user_predictor,
-                              trained_report.edge_predictor)
-        int8 = LoADPartEngine(graph, trained_report.user_predictor,
-                              trained_report.edge_predictor,
-                              upload_codec=TensorCodec("int8"))
-        n = fp32.num_nodes
-        assert fp32.decide(2e6).point == n
-        assert int8.decide(2e6).point < n
+        engine = LoADPartEngine(build_model("squeezenet"),
+                                trained_report.user_predictor,
+                                trained_report.edge_predictor)
+        n = engine.num_nodes
+        assert engine.decide(2e6).point == n
+        int8 = engine.decide(2e6, streaming=_codec_only("int8"))
+        assert int8.codec == "int8"
+        assert int8.point < n

@@ -82,7 +82,7 @@ class TestDecideFleet:
         e = alexnet_engine
         d = e.decide_fleet([100e6, 100e6], [1.0, 1.0], allowed=[1])
         assert d.server in (1, None)
-        assert d.decisions[0] is None
+        assert set(d.cells) == {(None, 1, "fp32", False)}
         empty = e.decide_fleet([100e6, 100e6], [1.0, 1.0], allowed=[])
         assert empty.server is None
         assert empty.point == e.num_nodes
@@ -92,12 +92,15 @@ class TestDecideFleet:
     def test_decisions_are_index_aligned(self, alexnet_engine):
         e = alexnet_engine
         d = e.decide_fleet([8e6, 50e6], [2.0, 1.0])
-        assert len(d.decisions) == 2
+        assert list(d.cells) == [(None, 0, "fp32", False),
+                                 (None, 1, "fp32", False)]
         for i, (bw, k) in enumerate([(8e6, 2.0), (50e6, 1.0)]):
             direct = e.decide(bw, k=k)
-            assert d.decisions[i].point == direct.point
-            assert d.decisions[i].predicted_latency == direct.predicted_latency
-            np.testing.assert_array_equal(d.decisions[i].candidates,
+            row = d.cells[(None, i, "fp32", False)]
+            assert row.server == i
+            assert row.point == direct.point
+            assert row.predicted_latency == direct.predicted_latency
+            np.testing.assert_array_equal(row.candidates,
                                           direct.candidates)
 
     def test_validation(self, alexnet_engine):
@@ -598,7 +601,8 @@ class TestHeterogeneousRouting:
         profiles = [ServerProfile(bandwidth_bps=50e6), ServerProfile()]
         d = e.decide_fleet([None, 50e6], [1.0, 1.0], profiles=profiles)
         np.testing.assert_array_equal(
-            d.decisions[0].candidates, d.decisions[1].candidates)
+            d.cells[(None, 0, "fp32", False)].candidates,
+            d.cells[(None, 1, "fp32", False)].candidates)
         with pytest.raises(ValueError):
             e.decide_fleet([None, 50e6], [1.0, 1.0])
 

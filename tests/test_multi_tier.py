@@ -279,5 +279,6 @@ class TestExitRule:
 
         with pytest.raises(ValueError, match="empty"):
             multi_tier_exit_decision([], 1.0, 8e6, 50e6)
-        with pytest.raises(ValueError, match="sla_s"):
-            multi_tier_exit_decision(self._workloads(1), 0.0, 8e6, 50e6)
+        for bad in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="sla_s"):
+                multi_tier_exit_decision(self._workloads(1), bad, 8e6, 50e6)

@@ -183,24 +183,31 @@ class TestHelpers:
         np.testing.assert_allclose(direct.candidates, via_engine.candidates)
 
 
+def _exit_row(decision, e):
+    """Exit ``e``'s own row of the single-server grid."""
+    return decision.cells[(e, None, "fp32", False)]
+
+
 class TestDecideExitPins:
     """Deterministic (exit, point) pins on the profiled squeezenet exits."""
 
     def test_sla_none_is_decide_bitwise(self, squeezenet_exit_engine):
         eng = squeezenet_exit_engine
-        plain = eng.decide(8e6, k=3.0)
-        ed = eng.decide_exit(None, 8e6, k=3.0)
-        assert ed.exit_index == eng.num_exits - 1
+        plain = partition_decision(eng.device_times, eng.edge_times,
+                                   eng.sizes, 8e6, k=3.0)
+        ed = eng.decide(8e6, k=3.0, sla_s=None)
+        assert ed.exit_index is None
         assert ed.feasible is True
         assert ed.point == plain.point
         assert ed.predicted_latency == plain.predicted_latency
-        assert np.array_equal(ed.decision.candidates, plain.candidates)
-        assert ed.decisions[:-1] == (None,) * (eng.num_exits - 1)
+        assert np.array_equal(ed.candidates, plain.candidates)
+        # Only the final exit is scanned.
+        assert list(ed.cells) == [(None, None, "fp32", False)]
 
     def test_generous_sla_keeps_full_accuracy(self, squeezenet_exit_engine):
         eng = squeezenet_exit_engine
         plain = eng.decide(8e6, k=1.0)
-        ed = eng.decide_exit(60.0, 8e6, k=1.0)
+        ed = eng.decide(8e6, k=1.0, sla_s=60.0)
         assert ed.exit_index == eng.num_exits - 1
         assert ed.feasible is True
         assert ed.accuracy == eng.exit_accuracy()
@@ -209,9 +216,10 @@ class TestDecideExitPins:
 
     def test_impossible_sla_falls_back_to_fastest(self, squeezenet_exit_engine):
         eng = squeezenet_exit_engine
-        ed = eng.decide_exit(1e-9, 8e6, k=1.0)
+        ed = eng.decide(8e6, k=1.0, sla_s=1e-9)
         assert ed.feasible is False
-        latencies = [d.predicted_latency for d in ed.decisions]
+        latencies = [_exit_row(ed, e).predicted_latency
+                     for e in range(eng.num_exits)]
         assert ed.predicted_latency == min(latencies)
         assert ed.exit_index == latencies.index(min(latencies))
 
@@ -223,32 +231,35 @@ class TestDecideExitPins:
             for e in range(eng.num_exits))
         assert fastest < full  # early exits genuinely cheaper
         sla = (fastest + full) / 2
-        ed = eng.decide_exit(sla, 8e6, k=1.0)
+        ed = eng.decide(8e6, k=1.0, sla_s=sla)
         assert ed.feasible is True
         assert ed.exit_index < eng.num_exits - 1
         assert ed.predicted_latency <= sla
         assert ed.accuracy < eng.exit_accuracy()
         # Latest feasible: every later exit misses the deadline.
         for e in range(ed.exit_index + 1, eng.num_exits):
-            assert ed.decisions[e].predicted_latency > sla
+            assert _exit_row(ed, e).predicted_latency > sla
 
     def test_accuracy_monotone_over_sla_grid(self, squeezenet_exit_engine):
         eng = squeezenet_exit_engine
         grid = [0.001, 0.01, 0.05, 0.1, 0.5, 2.0, 60.0]
-        accs = [eng.decide_exit(s, 8e6, k=1.0).accuracy for s in grid]
+        accs = [eng.decide(8e6, k=1.0, sla_s=s).accuracy for s in grid]
         assert accs == sorted(accs)
 
     def test_invalid_sla_rejected(self, squeezenet_exit_engine):
         for bad in (0.0, -1.0, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="sla_s"):
-                squeezenet_exit_engine.decide_exit(bad, 8e6)
+                squeezenet_exit_engine.decide(8e6, sla_s=bad)
 
     def test_exit_free_engine_decide_exit_is_decide(self, alexnet_engine):
+        """An exit-free engine has no exit axis to open: any SLA leaves the
+        decision equal to the plain scan."""
         eng = alexnet_engine
         plain = eng.decide(8e6, k=2.0)
         for sla in (None, 0.05, 100.0):
-            ed = eng.decide_exit(sla, 8e6, k=2.0)
-            assert ed.exit_index == 0
+            ed = eng.decide(8e6, k=2.0, sla_s=sla)
+            assert ed.exit_index is None
             assert ed.point == plain.point
             assert ed.predicted_latency == plain.predicted_latency
+            assert np.array_equal(ed.candidates, plain.candidates)
             assert ed.accuracy == 1.0

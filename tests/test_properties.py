@@ -4,11 +4,14 @@ Random graphs exercise the structural invariants the hand-written graphs
 cannot: arbitrary branching, skip connections, and joins.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.engine import brute_force as oracle
 from repro.graph.builder import GraphBuilder
 from repro.graph.partitioner import GraphPartitioner
 from repro.nn.executor import GraphExecutor, SegmentExecutor
@@ -364,22 +367,35 @@ def random_exit_engine(draw):
     return LoADPartEngine(graph, user, edge, exits=branches), edge
 
 
+def assert_same_decision(got, ref):
+    """Field-by-field *bitwise* equality of two decisions, every grid
+    cell's row decision included."""
+    for f in dataclasses.fields(got):
+        g, r = getattr(got, f.name), getattr(ref, f.name)
+        if f.name == "candidates":
+            assert np.array_equal(g, r), f.name
+        elif f.name == "cells":
+            assert list(g) == list(r)
+            for key in g:
+                assert_same_decision(g[key], r[key])
+        else:
+            assert g == r, f.name
+
+
 class TestExitDifferential:
-    """``decide_exit`` vs the exhaustive ``(exit, point)`` reference.
+    """The exit axis of the scan vs the exhaustive scalar oracle.
 
     Every random scenario draws a DAG, a random exit-branch set (possibly
     empty), a bandwidth, a load factor and an SLA (possibly ``None``),
     then demands *bitwise* agreement — exit index, partition point,
-    feasibility, predicted latency, accuracy, and every per-exit
-    candidate vector — between the one-pass-per-exit scan and the scalar
-    brute-force enumeration, including the no-feasible-exit fallback and
-    the ``point == n`` local edge.
+    feasibility, predicted latency, accuracy, and every per-exit cell —
+    between the scan and the scalar brute-force enumeration, including
+    the no-feasible-exit fallback and the ``point == n`` local edge.
     """
 
     @given(data=st.data(), setup=random_exit_engine())
     @settings(max_examples=40, deadline=None)
     def test_exit_scan_matches_brute_force(self, data, setup):
-        from repro.core.engine import exit_brute_force
 
         engine, _ = setup
 
@@ -389,29 +405,16 @@ class TestExitDifferential:
             st.one_of(st.none(), st.floats(1e-6, 10.0)), label="sla")
         offload_only = data.draw(st.booleans(), label="offload_only")
 
-        got = engine.decide_exit(sla, bw, k=k, offload_only=offload_only)
-        ref = exit_brute_force(engine, sla, bw, k=k,
-                               offload_only=offload_only)
-
-        assert got.exit_index == ref.exit_index
-        assert got.feasible == ref.feasible
-        assert got.point == ref.point
-        assert got.predicted_latency == ref.predicted_latency  # bitwise
-        assert got.accuracy == ref.accuracy
-        assert got.sla_s == ref.sla_s
-        assert len(got.decisions) == len(ref.decisions) == engine.num_exits
-        for dg, dr in zip(got.decisions, ref.decisions):
-            if dg is None:
-                assert dr is None
-                continue
-            assert dg.point == dr.point
-            assert dg.predicted_latency == dr.predicted_latency
-            assert np.array_equal(dg.candidates, dr.candidates)
+        got = engine.decide(bw, k=k, offload_only=offload_only, sla_s=sla)
+        ref = oracle(engine, [bw], [k], offload_only=offload_only, sla_s=sla,
+                     fleet=False)
+        assert_same_decision(got, ref)
+        assert len(got.cells) == (engine.num_exits if sla is not None else 1)
 
     @given(data=st.data(), setup=random_exit_engine())
     @settings(max_examples=25, deadline=None)
     def test_exit_fleet_scan_matches_brute_force(self, data, setup):
-        from repro.core.engine import ServerProfile, exit_fleet_brute_force
+        from repro.core.engine import ServerProfile
         from repro.profiling.predictor import ScaledPredictor
 
         engine, edge_base = setup
@@ -431,23 +434,9 @@ class TestExitDifferential:
         sla = data.draw(
             st.one_of(st.none(), st.floats(1e-6, 10.0)), label="sla")
 
-        got = engine.decide_exit_fleet(sla, bandwidths, ks, profiles=profiles)
-        ref = exit_fleet_brute_force(engine, sla, bandwidths, ks,
-                                     profiles=profiles)
-
-        assert got.exit_index == ref.exit_index
-        assert got.feasible == ref.feasible
-        assert got.point == ref.point
-        assert got.server == ref.server
-        assert got.predicted_latency == ref.predicted_latency  # bitwise
-        assert got.accuracy == ref.accuracy
-        for fg, fr in zip(got.decisions, ref.decisions):
-            if fg is None:
-                assert fr is None
-                continue
-            assert fg.point == fr.point
-            assert fg.server == fr.server
-            assert fg.predicted_latency == fr.predicted_latency
+        got = engine.decide_fleet(bandwidths, ks, profiles=profiles, sla_s=sla)
+        ref = oracle(engine, bandwidths, ks, profiles=profiles, sla_s=sla)
+        assert_same_decision(got, ref)
 
     @given(data=st.data(), setup=random_exit_engine())
     @settings(max_examples=30, deadline=None)
@@ -460,50 +449,135 @@ class TestExitDifferential:
         s1 = data.draw(st.floats(1e-6, 10.0), label="sla1")
         s2 = data.draw(st.floats(1e-6, 10.0), label="sla2")
         tight, loose = min(s1, s2), max(s1, s2)
-        d_tight = engine.decide_exit(tight, bw, k=k)
-        d_loose = engine.decide_exit(loose, bw, k=k)
+        d_tight = engine.decide(bw, k=k, sla_s=tight)
+        d_loose = engine.decide(bw, k=k, sla_s=loose)
         assert d_tight.accuracy <= d_loose.accuracy
         if d_tight.feasible:
             assert d_loose.feasible
-            assert d_tight.exit_index <= d_loose.exit_index
+            if engine.has_exits:
+                assert d_tight.exit_index <= d_loose.exit_index
 
     @given(data=st.data(), setup=random_exit_engine())
     @settings(max_examples=30, deadline=None)
     def test_sla_none_is_the_plain_scan(self, data, setup):
-        """``sla_s=None`` reproduces ``decide()`` bit-for-bit: final exit,
-        same point, same latency, same candidate vector."""
+        """``sla_s=None`` is Algorithm 1 on the backbone bit-for-bit: same
+        point, same latency, same candidate vector, no other exit
+        evaluated."""
+        from repro.core.partition_algorithm import partition_decision
+
         engine, _ = setup
         bw = data.draw(st.floats(1e5, 1e8), label="bw")
         k = data.draw(st.floats(1.0, 50.0), label="k")
-        plain = engine.decide(bw, k=k)
-        ed = engine.decide_exit(None, bw, k=k)
-        assert ed.exit_index == engine.num_exits - 1
+        plain = partition_decision(engine.device_times, engine.edge_times,
+                                   engine.sizes, bw, k=k)
+        ed = engine.decide(bw, k=k, sla_s=None)
+        assert ed.exit_index is None
         assert ed.feasible is True
+        assert ed.accuracy == engine.exit_accuracy()
         assert ed.point == plain.point
         assert ed.predicted_latency == plain.predicted_latency
-        assert np.array_equal(ed.decision.candidates, plain.candidates)
-        assert all(d is None for d in ed.decisions[:-1])
+        assert np.array_equal(ed.candidates, plain.candidates)
+        assert list(ed.cells) == [(None, None, "fp32", False)]
+
+
+class TestCodecDifferential:
+    """The codec and mode axes of the scan vs the scalar oracle.
+
+    Random codec subsets (in random preference order), whole or chunked
+    uploads, ``offload_only``, SLA on or off (over random exit sets), a
+    download term and a link penalty: the decision, its per-stage times
+    and every ``(exit, codec, mode)`` cell — infeasible (``inf``)
+    streamed entries included — must match bitwise.
+    """
+
+    @given(data=st.data(), setup=random_exit_engine())
+    @settings(max_examples=40, deadline=None)
+    def test_codec_grid_matches_brute_force(self, data, setup):
+        from repro.network.streaming import StreamingConfig
+
+        engine, _ = setup
+        codecs = data.draw(st.lists(
+            st.sampled_from(["fp32", "zlib", "fp16", "int8"]),
+            min_size=1, max_size=4, unique=True), label="codecs")
+        streaming = StreamingConfig(
+            codecs=tuple(codecs), allow_lossy=True,
+            chunk_bytes=data.draw(st.sampled_from([None, 1024]),
+                                  label="chunk_bytes"))
+        bw = data.draw(st.floats(1e5, 1e8), label="bw")
+        k = data.draw(st.floats(1.0, 50.0), label="k")
+        sla = data.draw(
+            st.one_of(st.none(), st.floats(1e-6, 10.0)), label="sla")
+        offload_only = data.draw(st.booleans(), label="offload_only")
+        down = data.draw(st.one_of(st.none(), st.floats(1e5, 1e9)),
+                         label="bandwidth_down")
+        extra = data.draw(st.floats(0.0, 0.05), label="extra")
+
+        got = engine.decide(bw, k=k, bandwidth_down=down,
+                            offload_only=offload_only, extra_latency_s=extra,
+                            sla_s=sla, streaming=streaming)
+        ref = oracle(engine, [bw], [k], [extra], bandwidth_down=down,
+                     offload_only=offload_only, sla_s=sla,
+                     streaming=streaming, fleet=False)
+        assert_same_decision(got, ref)
+        modes = 1 if streaming.chunk_bytes is None else 2
+        exits = engine.num_exits if sla is not None else 1
+        assert len(got.cells) == exits * len(codecs) * modes
+
+    @pytest.mark.parametrize("model", ["resnet18", "squeezenet"])
+    def test_zoo_codec_grid_matches_brute_force(self, exit_engine_for, model):
+        """Zoo cuts carry several crossing tensors of different sizes and
+        producer ops — the per-tensor wire and decode terms, their wire
+        order and the release schedule all matter here, on every exit."""
+        from repro.network.streaming import StreamingConfig
+
+        engine = exit_engine_for(model)
+        streaming = StreamingConfig(codecs=("zlib", "fp32", "int8"),
+                                    chunk_bytes=16 * 1024, allow_lossy=True)
+        for bw, k, sla in ((2e6, 1.0, None), (8e6, 3.0, 0.1), (5e7, 1.5, 1e-6)):
+            got = engine.decide(bw, k=k, sla_s=sla, streaming=streaming)
+            ref = oracle(engine, [bw], [k], sla_s=sla, streaming=streaming,
+                         fleet=False)
+            assert_same_decision(got, ref)
+
+    def test_streamed_cells_can_be_infeasible(self):
+        """The oracle agrees on the ``inf`` entries of a streamed cell: the
+        cuts that fit one chunk (here the small tail tensors)."""
+        from repro.core.engine import LoADPartEngine
+        from repro.network.streaming import StreamingConfig
+
+        b = GraphBuilder("pinned", (1, 8, 8, 8))  # 2 KiB input
+        x = b.conv(b.input, 8, kernel=3, padding=1, name="conv")
+        b.output(b.relu(x, name="relu"))
+        graph = b.graph
+        n = len(graph)
+        engine = LoADPartEngine(graph,
+                                _TimesPredictor("device", np.full(n, 1e-2)),
+                                _TimesPredictor("edge", np.full(n, 1e-4)))
+        streaming = StreamingConfig(codecs=("fp32", "zlib"), chunk_bytes=1024)
+        got = engine.decide(1e6, streaming=streaming)
+        assert_same_decision(got, oracle(engine, [1e6], [1.0],
+                                         streaming=streaming, fleet=False))
+        zlib_stream = got.cells[(None, None, "zlib", True)].candidates
+        assert np.isinf(zlib_stream[-1]) and np.isinf(zlib_stream).any()
+        assert np.isfinite(got.cells[(None, None, "fp32", True)].candidates[0])
 
 
 class TestFleetDifferential:
-    """``decide_fleet`` vs the exhaustive heterogeneous reference.
+    """The server axis of the scan vs the exhaustive heterogeneous oracle.
 
     Every random scenario draws per-server profiles (predictor scale,
     bandwidth prior, link position), load factors and live bandwidth
     estimates, then demands *bitwise* agreement — point, server,
-    predicted latency and all per-server candidate vectors — between the
-    O(n)-per-server scan and the explicit ``(point, server)``
-    enumeration, including the all-servers-masked and ``point == n``
-    edges.  The direct-summation objective must agree numerically at
-    every candidate the scan produced.
+    predicted latency and every per-server cell — between the scan and
+    the explicit ``(point, server)`` enumeration, including the
+    all-servers-masked and ``point == n`` edges.  The direct-summation
+    objective must agree numerically at every candidate the scan produced.
     """
 
     @given(data=st.data(), graph=random_dag())
     @settings(max_examples=40, deadline=None)
     def test_heterogeneous_scan_matches_brute_force(self, data, graph):
-        from repro.core.engine import (
-            LoADPartEngine, ServerProfile, fleet_brute_force, fleet_objective,
-        )
+        from repro.core.engine import LoADPartEngine, ServerProfile, fleet_objective
         from repro.profiling.predictor import ScaledPredictor
 
         seed = data.draw(st.integers(0, 2**31), label="times_seed")
@@ -542,29 +616,23 @@ class TestFleetDifferential:
         got = engine.decide_fleet(
             bandwidths, ks, allowed=allowed, offload_only=offload_only,
             profiles=profiles)
-        ref = fleet_brute_force(
+        ref = oracle(
             engine, bandwidths, ks, allowed=allowed,
             offload_only=offload_only, profiles=profiles)
-
-        assert got.point == ref.point
-        assert got.server == ref.server
-        assert got.predicted_latency == ref.predicted_latency  # bitwise
-        for s, (dg, dr) in enumerate(zip(got.decisions, ref.decisions)):
-            if dg is None:
-                assert dr is None
-                continue
-            assert dg.point == dr.point
-            assert dg.predicted_latency == dr.predicted_latency
-            assert np.array_equal(dg.candidates, dr.candidates)
+        assert_same_decision(got, ref)
+        servers = range(num) if allowed is None else sorted(set(allowed))
+        assert [row.server for row in got.cells.values()] == list(servers)
+        for row in got.cells.values():
+            s = row.server
             # Independent restatement of Problem (1) at spot-check points.
             bw_s = (bandwidths[s] if bandwidths[s] is not None
                     else profiles[s].bandwidth_bps)
-            for p in {0, n // 2, n, dg.point}:
+            for p in {0, n // 2, n, row.point}:
                 direct = fleet_objective(
                     engine, p, bw_s, k=ks[s],
                     extra_latency_s=profiles[s].extra_latency_s,
                     profile=profiles[s])
-                assert direct == pytest.approx(float(dg.candidates[p]),
+                assert direct == pytest.approx(float(row.candidates[p]),
                                                rel=1e-9, abs=1e-12)
 
     @given(data=st.data(), graph=random_dag())
@@ -591,8 +659,4 @@ class TestFleetDifferential:
                             edge_base, 1.0))):
             dressed = engine.decide_fleet(
                 bandwidths, ks, profiles=[uniform] * num)
-            assert dressed.point == plain.point
-            assert dressed.server == plain.server
-            assert dressed.predicted_latency == plain.predicted_latency
-            for dp, dd in zip(plain.decisions, dressed.decisions):
-                assert np.array_equal(dp.candidates, dd.candidates)
+            assert_same_decision(dressed, plain)

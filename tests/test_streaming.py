@@ -162,8 +162,8 @@ class TestJointDecision:
             assert joint.point == base.point
             assert joint.codec == "fp32" and not joint.streamed
             assert joint.predicted_latency == base.predicted_latency
-            np.testing.assert_array_equal(
-                joint.candidates[("fp32", "mono")], base.candidates)
+            np.testing.assert_array_equal(joint.candidates, base.candidates)
+            assert list(joint.cells) == [(None, None, "fp32", False)]
 
     def test_codec_and_point_shift_with_bandwidth(self, squeezenet_engine):
         cfg = StreamingConfig()
@@ -181,8 +181,8 @@ class TestJointDecision:
         cfg = StreamingConfig(chunk_bytes=16 * 1024)
         jd = engine.decide_joint(4e6, streaming=cfg)
         for name in cfg.codecs:
-            mono = jd.candidates[(name, "mono")]
-            stream = jd.candidates[(name, "stream")]
+            mono = jd.cells[(None, None, name, False)].candidates
+            stream = jd.cells[(None, None, name, True)].candidates
             finite = np.isfinite(stream)
             codec_wire = engine._wire_sizes(name)
             chunks = np.array([cfg.num_chunks(int(w)) for w in codec_wire])
@@ -196,8 +196,8 @@ class TestJointDecision:
         engine = engine_for("resnet18")
         cfg = StreamingConfig(chunk_bytes=16 * 1024)
         jd = engine.decide_joint(4e6, streaming=cfg)
-        mono = jd.candidates[("zlib", "mono")]
-        stream = jd.candidates[("zlib", "stream")]
+        mono = jd.cells[(None, None, "zlib", False)].candidates
+        stream = jd.cells[(None, None, "zlib", True)].candidates
         branchy = [p for p in range(engine.num_nodes)
                    if len(engine.release_schedule(p)) > 1
                    and np.isfinite(stream[p])]
@@ -228,7 +228,7 @@ class TestJointDecision:
         assert pinned.point == point and pinned.codec == "zlib"
         assert pinned.streamed and pinned.chunks > 1
         assert pinned.predicted_latency == pytest.approx(
-            float(jd.candidates[("zlib", "stream")][point]))
+            float(jd.cells[(None, None, "zlib", True)].candidates[point]))
 
     def test_joint_at_rejects_infeasible_stream(self, squeezenet_engine):
         # Every cut fits one chunk: the streamed mode never materialises.
@@ -240,9 +240,6 @@ class TestJointDecision:
                 49, "int8", False, 4e6,
                 streaming=StreamingConfig(chunk_bytes=None))
 
-    def test_decide_joint_requires_config(self, squeezenet_engine):
-        with pytest.raises(ValueError, match="StreamingConfig"):
-            squeezenet_engine.decide_joint(4e6)
 
 
 class TestGatedRun:
@@ -419,8 +416,7 @@ class TestRuntimeStreaming:
                 self._point = point
                 self._codec = codec
 
-            def decide_joint(self, bandwidth, k=1.0, streaming=None,
-                             **kwargs):
+            def decide(self, bandwidth, k=1.0, streaming=None, **kwargs):
                 return self._engine.joint_at(
                     self._point, self._codec, True, bandwidth, k=k,
                     streaming=streaming)
