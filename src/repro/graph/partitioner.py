@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
-from repro.graph.graph import ComputationGraph, GraphError
+from repro.graph.graph import ComputationGraph, Cut, GraphError
 from repro.graph.node import CNode, TensorSpec
 
 
@@ -100,17 +100,28 @@ def _finalise(segment: Segment, results: List[Tuple[str, TensorSpec]]) -> None:
 
 
 class GraphPartitioner:
-    """Splits computation graphs into device/server segments."""
+    """Splits computation graphs into device/server segments.
+
+    Partitions are memoised per point: a partitioner is shared by every
+    device and server of one graph, and each keeps its own
+    :class:`~repro.core.cache.PartitionCache` (and hit/miss counts) over it.
+    """
 
     def __init__(self, graph: ComputationGraph) -> None:
         graph.validate()
         self._graph = graph
         self._order = graph.topological_order()
         self._cuts = graph.cuts()
+        self._partitions: Dict[int, PartitionedGraph] = {}
 
     @property
     def graph(self) -> ComputationGraph:
         return self._graph
+
+    @property
+    def cuts(self) -> List[Cut]:
+        """The graph's cuts, ``graph.cuts()`` computed once."""
+        return self._cuts
 
     @property
     def num_points(self) -> int:
@@ -119,6 +130,12 @@ class GraphPartitioner:
 
     def partition(self, p: int) -> PartitionedGraph:
         """Split after topological position ``p`` (0 = full offload, n = local)."""
+        partitioned = self._partitions.get(p)
+        if partitioned is None:
+            partitioned = self._partitions.setdefault(p, self._split(p))
+        return partitioned
+
+    def _split(self, p: int) -> PartitionedGraph:
         n = len(self._order)
         if not 0 <= p <= n:
             raise GraphError(f"partition point {p} out of range [0, {n}]")

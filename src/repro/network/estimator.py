@@ -29,8 +29,6 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque
 
-import numpy as np
-
 
 @dataclass(frozen=True)
 class _Sample:
@@ -117,7 +115,13 @@ class BandwidthEstimator:
         self._evict(self._last_time_s)
         if not self._window:
             return self._initial
-        return float(np.median([s.bandwidth_bps for s in self._window]))
+        # The median of a short window, as ``np.median`` computes it: the
+        # middle sample, or the mean of the two middle ones.
+        ordered = sorted([s.bandwidth_bps for s in self._window])
+        mid = len(ordered) // 2
+        if len(ordered) % 2:
+            return float(ordered[mid])
+        return float((ordered[mid - 1] + ordered[mid]) / 2)
 
     def next_probe_bytes(self) -> int:
         """Probe size targeting ``probe_target_duration_s`` at the current estimate.
@@ -126,7 +130,7 @@ class BandwidthEstimator:
         to the historical data in the sliding window".
         """
         target = self.estimate() * self._probe_target_duration_s / 8
-        return int(np.clip(target, self._min_probe_bytes, self._max_probe_bytes))
+        return int(min(max(target, self._min_probe_bytes), self._max_probe_bytes))
 
     @property
     def sample_count(self) -> int:

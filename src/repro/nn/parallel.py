@@ -221,9 +221,11 @@ class GatedRun:
         if n == 0:
             self._done.set()
             return
-        for c in range(n):
-            if self._remaining[c] == 0:
-                self._submit(c)
+        # Collect the initially ready tasks before submitting any: a task
+        # submitted here can finish and release a successor (submitting it
+        # itself) before a scan over ``_remaining`` would reach it.
+        for c in [c for c in range(n) if self._remaining[c] == 0]:
+            self._submit(c)
 
     def _submit(self, c: int) -> None:
         state = self._state

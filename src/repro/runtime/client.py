@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import accumulate
 from typing import Dict, Protocol, Tuple
 
@@ -28,7 +29,7 @@ import numpy as np
 from repro.core.cache import PartitionCache
 from repro.core.engine import LoADPartEngine
 from repro.core.partition_algorithm import PartitionDecision
-from repro.graph.partitioner import GraphPartitioner, PartitionedGraph
+from repro.graph.partitioner import PartitionedGraph
 from repro.hardware.device_model import DeviceModel
 from repro.network.channel import Channel, StreamResult
 from repro.network.estimator import BandwidthEstimator
@@ -155,7 +156,7 @@ class UserDevice:
             self.breaker = CircuitBreaker(
                 resilience.failure_threshold, resilience.cooldown_s
             )
-        self.cache = PartitionCache(GraphPartitioner(engine.graph))
+        self.cache = PartitionCache(engine.partitioner)
         self._rng = np.random.default_rng(seed)
         self._latest_k = 1.0
         self._k_time_s = -math.inf
@@ -171,13 +172,18 @@ class UserDevice:
         # backbone) use ``self.cache`` / ``self.model_params`` directly.
         self._exit_caches: Dict[int, PartitionCache] = {}
         self._exit_params: Dict[int, Dict[str, np.ndarray]] = {}
-        # Functional inputs come from a dedicated stream: ``self._rng`` keeps
-        # driving the simulated timing draws, so InferenceRecords are
-        # identical whether functional execution is on or off (and across
-        # executor backends).
-        self._data_rng = np.random.default_rng(seed + 0x5EED)
+        self._seed = seed
         #: Output tensor of the most recent functional inference.
         self.last_output: np.ndarray | None = None
+
+    @cached_property
+    def _data_rng(self) -> np.random.Generator:
+        """Functional inputs come from a dedicated stream: ``self._rng``
+        keeps driving the simulated timing draws, so InferenceRecords are
+        identical whether functional execution is on or off (and across
+        executor backends).  Built on first use: simulated fleets never
+        draw from it."""
+        return np.random.default_rng(self._seed + 0x5EED)
 
     # -- runtime profiler activities (the paper's profiler thread) ------------
 
@@ -268,8 +274,7 @@ class UserDevice:
             return self.cache
         cache = self._exit_caches.get(exit_index)
         if cache is None:
-            cache = PartitionCache(GraphPartitioner(
-                self.engine.exit_engine(exit_index).graph))
+            cache = PartitionCache(self.engine.exit_engine(exit_index).partitioner)
             self._exit_caches[exit_index] = cache
         return cache
 
@@ -402,9 +407,8 @@ class UserDevice:
         if self.functional:
             head_outputs, transfers = self._run_head(partitioned, exit_index)
 
-        device_s = float(
-            self.device_model.sample_graph_time(active.head_profiles(point), self._rng)
-        )
+        device_s = float(self.device_model.sample_graph_time(
+            active.mean_times(self.device_model)[:point], self._rng))
 
         if point == active.num_nodes:
             # Local inference: no network, no server involvement.

@@ -42,8 +42,6 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Sequence, Tuple
 
-import numpy as np
-
 from repro.core.engine import LoADPartEngine, ServerProfile
 from repro.core.partition_algorithm import PartitionDecision
 from repro.network.channel import Channel, NetworkParams
@@ -52,7 +50,7 @@ from repro.network.traces import BandwidthTrace, ConstantTrace
 from repro.runtime.client import UserDevice
 from repro.runtime.events import EventLoop
 from repro.runtime.messages import BusyReply, InferenceRecord
-from repro.runtime.multi import FleetResult, SharedEdgeServer, SharedLoadTracker
+from repro.runtime.multi import FleetResult, SharedEdgeServer, SharedLoadTracker, run_closed_loop
 from repro.runtime.server import EdgeServer
 from repro.runtime.supervisor import FleetSupervisor, SupervisorConfig
 from repro.runtime.system import SystemConfig, Timeline
@@ -514,8 +512,6 @@ class GatewayFleetSystem:
     def run(self, duration_s: float) -> FleetResult:
         """Simulate all clients issuing requests back-to-back."""
         loop = self.loop
-        records: List[List[InferenceRecord]] = [[] for _ in self.clients]
-
         for i, client in enumerate(self.clients):
             client.profiler_tick(0.0)
             # Stagger profiler periods so clients don't probe in lockstep
@@ -536,16 +532,8 @@ class GatewayFleetSystem:
             loop.schedule_every(probe_period,
                                 lambda: self.supervisor.tick(loop.now))
 
-        next_at = [i * 0.003 for i in range(len(self.clients))]
-        while True:
-            idx = int(np.argmin(next_at))
-            t = next_at[idx]
-            if t >= duration_s:
-                break
-            loop.run_until(t)
-            record = self.clients[idx].request_inference(t)
-            records[idx].append(record)
-            next_at[idx] = t + record.total_s + self.config.think_time_s
+        records = run_closed_loop(loop, self.clients, duration_s,
+                                  self.config.think_time_s)
         return FleetResult(
             timelines=tuple(Timeline(r) for r in records),
             policy=self.policy,

@@ -25,7 +25,6 @@ import numpy as np
 from repro.core.cache import PartitionCache
 from repro.core.engine import LoADPartEngine
 from repro.core.load_factor import GpuWatchdog, LoadFactorMonitor
-from repro.graph.partitioner import GraphPartitioner
 from repro.hardware.background import IDLE, LoadSchedule
 from repro.hardware.gpu_model import GpuModel
 from repro.hardware.gpu_scheduler import GpuScheduler
@@ -82,7 +81,7 @@ class EdgeServer:
         self.scheduler = scheduler or GpuScheduler()
         self.monitor = LoadFactorMonitor(window_s=monitor_window_s)
         self.watchdog = GpuWatchdog(self.monitor, watchdog_threshold, watchdog_period_s)
-        self.cache = PartitionCache(GraphPartitioner(engine.graph))
+        self.cache = PartitionCache(engine.partitioner)
         self._rng = np.random.default_rng(seed)
         self.offload_count = 0
         self.fault_plan = fault_plan
@@ -123,8 +122,7 @@ class EdgeServer:
             return self.cache
         cache = self._exit_caches.get(exit_index)
         if cache is None:
-            cache = PartitionCache(GraphPartitioner(
-                self.engine.exit_engine(exit_index).graph))
+            cache = PartitionCache(self.engine.exit_engine(exit_index).partitioner)
             self._exit_caches[exit_index] = cache
         return cache
 
@@ -326,8 +324,8 @@ class EdgeServer:
             else None
         )
 
-        profiles = engine.tail_profiles(point)
-        kernel_times = self.gpu_model.sample_kernel_times(profiles, self._rng)
+        kernel_times = self.gpu_model.sample_kernel_times(
+            engine.mean_times(self.gpu_model)[point:], self._rng)
         level = self.load_schedule.level_at(now_s)
         gpu_busy_s: float | None = None
         schedule = engine.release_schedule(point) if arrivals else ()
@@ -411,8 +409,8 @@ class EdgeServer:
         else:
             results = [None] * len(requests)
 
-        profiles = engine.tail_profiles(point)
-        kernel_times = self.gpu_model.sample_kernel_times(profiles, self._rng)
+        kernel_times = self.gpu_model.sample_kernel_times(
+            engine.mean_times(self.gpu_model)[point:], self._rng)
         scale = batching.batch_time_scale(batching.padded_size(len(requests)))
         level = self.load_schedule.level_at(now_s)
         exec_s = self.scheduler.execute(

@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro.graph.partitioner import GraphPartitioner
 from repro.models import build_model
-from repro.nn import GraphExecutor, SegmentExecutor
+from repro.nn import GraphExecutor, SegmentExecutor, parallel
 from repro.nn.parallel import (
     PARALLEL_THREADS_ENV,
     CompileOnceCache,
@@ -169,6 +170,31 @@ class TestParallelKnobs:
             ParallelPlanRunner([[lambda: None]], [{0}], threads=2)  # self-dep
         with pytest.raises(ValueError):
             ParallelPlanRunner([[lambda: None]], [{5}], threads=2)  # dangling
+
+    def test_runner_runs_each_chain_once_when_chains_finish_early(self, monkeypatch):
+        # An inline pool runs each chain inside ``submit`` (re-entrant locks
+        # let it), so chain 0 has finished and released chain 2 before the
+        # start-up pass over the chains reaches it: chain 2 must still run
+        # exactly once.  With real threads this is the first-run race of a
+        # fresh pool, whose slow thread start-up lets early chains finish.
+        class InlinePool:
+            def submit(self, fn, *args):
+                fn(*args)
+
+        monkeypatch.setattr(parallel, "threading", SimpleNamespace(
+            Lock=threading.RLock, Event=threading.Event))
+        runs = [0, 0, 0]
+
+        def step(c):
+            def fn():
+                runs[c] += 1
+            return fn
+
+        runner = ParallelPlanRunner([[step(0)], [step(1)], [step(2)]],
+                                    [set(), set(), {0}], threads=2)
+        runner._pool = InlinePool()
+        runner.run()
+        assert runs == [1, 1, 1]
 
     def test_runner_propagates_chain_errors(self):
         def boom():

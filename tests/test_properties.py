@@ -8,7 +8,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.engine import brute_force as oracle
@@ -23,10 +23,16 @@ from tests.helpers import brute_force
 @st.composite
 def random_dag(draw):
     """A random small NCHW DAG built from shape-preserving ops."""
-    rng_seed = draw(st.integers(0, 2**31))
-    n_nodes = draw(st.integers(2, 14))
-    channels = draw(st.sampled_from([2, 4, 8]))
-    size = draw(st.sampled_from([4, 6, 8]))
+    return build_random_dag(
+        rng_seed=draw(st.integers(0, 2**31)),
+        n_nodes=draw(st.integers(2, 14)),
+        channels=draw(st.sampled_from([2, 4, 8])),
+        size=draw(st.sampled_from([4, 6, 8])),
+    )
+
+
+def build_random_dag(rng_seed: int, n_nodes: int, channels: int, size: int):
+    """The DAG :func:`random_dag` draws for these parameters."""
     rng = np.random.default_rng(rng_seed)
 
     b = GraphBuilder(f"rand{rng_seed}", (1, channels, size, size))
@@ -266,6 +272,10 @@ class TestChainSlicingProperties:
 
     @given(graph=random_dag(), seed=st.integers(0, 500),
            threads=st.sampled_from([2, 4]))
+    # Two chains that finished while the runner was still submitting the
+    # start-up chains released their join, which the start-up pass then
+    # submitted a second time: an in-place join ran twice on a fresh pool.
+    @example(graph=build_random_dag(1656235197, 6, 4, 4), seed=242, threads=2)
     @settings(max_examples=20, deadline=None)
     def test_parallel_run_bit_identical_on_random_dags(self, graph, seed, threads):
         rng = np.random.default_rng(seed)

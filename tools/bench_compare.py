@@ -45,6 +45,14 @@ direct client-server path, and on the heterogeneous (fast+near vs
 slow+far) cell the profile-aware arm's p95 must strictly beat the
 profile-blind arm's.
 
+``BENCH_sim.json`` reports gate simulator throughput per (driver, fleet
+size) cell, each normalised by the fixed reference workload timed in the
+same run so host speed cancels (the executor gate's method): simulated
+requests per reference run may not drop by more than the threshold, and
+at 10k clients, where construction is long enough to time, construction
+time per reference run may not double.  Every candidate cell must also
+have reproduced its records across its repeats.
+
 ``BENCH_streaming.json`` reports gate on the candidate alone (the numbers
 come from the declared cost model, so host speed cancels entirely):
 streamed lossless uploads must beat the monolithic fp32 upload by at
@@ -79,6 +87,14 @@ SAMPLE_SPEEDUP_FLOOR = 1.2
 #: and each model's sweep must shift its (point, codec) choice.
 STREAMING_LOW_BW_FLOOR = 1.3
 STREAMING_POLICY_TOLERANCE = 0.05
+
+#: sim gate: construction time is gated only from this fleet size up
+#: (smaller builds take milliseconds, within timer noise), and only
+#: against a doubling — back-to-back runs of one build on a shared 2-CPU
+#: host differ by up to 1.7x, while the regressions this gate exists for
+#: (a partitioner per client) cost 20x.
+SIM_BUILD_MIN_CLIENTS = 10000
+SIM_BUILD_TOLERANCE = 1.0
 
 
 def load(path: pathlib.Path) -> dict:
@@ -388,6 +404,47 @@ def compare_streaming(baseline: dict, candidate: dict,
     return regressions
 
 
+def compare_sim(baseline: dict, candidate: dict,
+                threshold: float) -> list[str]:
+    """Gate simulator throughput and construction per cell, as ratios to
+    each report's own reference workload."""
+    regressions: list[str] = []
+    base_results = baseline["results"]
+    cand_results = candidate["results"]
+    common = sorted(set(base_results) & set(cand_results),
+                    key=lambda n: (cand_results[n]["clients"], n))
+    if not common:
+        raise SystemExit("reports share no cells; nothing to compare")
+    for name in common:
+        b, c = base_results[name], cand_results[name]
+        rate_loss = 1.0 - c["req_per_ref"] / b["req_per_ref"]
+        build_gain = c["build_per_ref"] / b["build_per_ref"] - 1.0
+        marker = ""
+        if not c["deterministic"]:
+            marker = "  <-- REGRESSION"
+            regressions.append(f"{name}: repeats produced different records")
+        if rate_loss > threshold:
+            marker = "  <-- REGRESSION"
+            regressions.append(
+                f"{name}: {b['req_per_ref']:.1f} -> {c['req_per_ref']:.1f} "
+                f"requests per reference run ({-rate_loss * 100:+.1f}% < "
+                f"-{threshold * 100:.0f}%)")
+        if c["clients"] >= SIM_BUILD_MIN_CLIENTS and build_gain > SIM_BUILD_TOLERANCE:
+            marker = "  <-- REGRESSION"
+            regressions.append(
+                f"{name}: construction {b['build_per_ref']:.2f} -> "
+                f"{c['build_per_ref']:.2f} reference runs "
+                f"({build_gain * 100:+.1f}% > {SIM_BUILD_TOLERANCE * 100:.0f}%)")
+        print(f"{name:14s} req/s {b['req_per_s']:7.0f} -> {c['req_per_s']:7.0f}"
+              f"  per ref {b['req_per_ref']:6.1f} -> {c['req_per_ref']:6.1f}"
+              f" ({-rate_loss * 100:+6.1f}%)  build {b['build_s'] * 1e3:7.1f} -> "
+              f"{c['build_s'] * 1e3:7.1f} ms ({build_gain * 100:+6.1f}%){marker}")
+    only = sorted(set(base_results) ^ set(cand_results))
+    if only:
+        print(f"(not compared, present in one report only: {', '.join(only)})")
+    return regressions
+
+
 def compare(baseline: dict, candidate: dict, threshold: float,
             metric: str = "planned_ms") -> list[str]:
     """Returns a list of human-readable regression messages (empty = pass)."""
@@ -440,7 +497,7 @@ def main(argv=None) -> int:
     baseline = load(args.baseline)
     candidate = load(args.candidate)
     for kind in ("resilience", "parallel_chains", "parallel_samples",
-                 "streaming", "fleet", "exits"):
+                 "streaming", "fleet", "exits", "sim"):
         if (baseline.get("benchmark") == kind) != (candidate.get("benchmark") == kind):
             raise SystemExit(f"cannot compare a {kind} report against "
                              "a different benchmark type")
@@ -457,6 +514,8 @@ def main(argv=None) -> int:
         regressions = compare_fleet(baseline, candidate, args.threshold)
     elif baseline.get("benchmark") == "exits":
         regressions = compare_exits(baseline, candidate, args.threshold)
+    elif baseline.get("benchmark") == "sim":
+        regressions = compare_sim(baseline, candidate, args.threshold)
     else:
         regressions = compare(baseline, candidate,
                               args.threshold, metric=args.metric)
