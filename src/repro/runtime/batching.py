@@ -125,9 +125,6 @@ class DynamicBatcher:
         q = self._queues.get(point)
         return len(q.pending) if q is not None else 0
 
-    def current_epoch(self, point: int) -> int:
-        return self._queues.setdefault(point, _PointQueue()).epoch
-
     def take(self, point: int, epoch: int | None = None) -> List[PendingRequest]:
         """Drain the queue at ``point`` (FIFO order) and bump its epoch.
 

@@ -59,9 +59,10 @@ class PendingOffload:
     """Device-side state of one offload whose server reply is outstanding.
 
     Produced by :meth:`UserDevice.begin_inference` when the decision is to
-    offload; the batched fleet driver parks it in the server's batch queue
-    and finishes the record via :meth:`UserDevice.complete_inference` once
-    the batch flushes.
+    offload, and yielded by :meth:`UserDevice.lifecycle` to its driver,
+    which serves it (inline at ``arrive_s``, or through the server's batch
+    queue) and sends the reply back for
+    :meth:`UserDevice.complete_inference`.
 
     Under a resilient configuration ``timeout_s`` is the attempt's
     network-side deadline (upload + server + download budget, armed when
@@ -293,14 +294,20 @@ class UserDevice:
             self._exit_params[exit_index] = params
         return params
 
-    def _finalize_sla(self, record: InferenceRecord) -> InferenceRecord:
-        """Re-stamp ``met_sla`` after any adjustment to ``total_s``."""
+    def _charged(self, record: InferenceRecord, start_s: float, now_s: float,
+                 retries: int, **fields) -> InferenceRecord:
+        """``record`` as the result of a request that started at
+        ``start_s``: the ``now_s - start_s`` burned on failed attempts
+        (timeouts waited out, backoff, rejections) lands in ``wasted_s``
+        and in the total, because the user experienced it."""
+        wasted = now_s - start_s
+        record = replace(record, start_s=start_s,
+                         total_s=record.total_s + wasted, wasted_s=wasted,
+                         retries=retries, **fields)
         if record.sla_s is None:
             return record
         met = record.completed and record.total_s <= record.sla_s
-        if met == record.met_sla:
-            return record
-        return replace(record, met_sla=met)
+        return record if met == record.met_sla else replace(record, met_sla=met)
 
     # -- functional execution --------------------------------------------------
 
@@ -651,127 +658,90 @@ class UserDevice:
                      if pending.sla_s is not None else None),
         )
 
-    def fallback_record(self, request_id: int, start_s: float, now_s: float, *,
-                        retries: int = 0, timeout_s: float = 0.0,
-                        status: str = "fallback_local") -> InferenceRecord:
-        """Resolve a failed offload by running the whole model locally.
+    def lifecycle(self, now_s: float):
+        """One logical request, from its start at ``now_s`` to its record.
 
-        ``now_s - start_s`` is the time already burned on the offload path
-        (timeouts waited out, backoff, rejections); it lands in ``wasted_s``
-        and in the total, because the user experienced it.
+        A generator, so that one set of breaker, deadline, retry and
+        fallback rules serves every driver.  It yields each delivered
+        :class:`PendingOffload` and expects ``(reply, download_at_s)``
+        back: the server's :class:`OffloadReply`, a :class:`BusyReply`,
+        or ``None`` for a server that never answers, and the instant the
+        result starts downloading.  Between attempts it yields the instant
+        it waits for (a deadline, ``retry_after``, a backoff) and expects
+        the instant it resumed at.  It returns the request's
+        :class:`InferenceRecord`.
+
+        Without resilience there is one attempt, and an offload the server
+        does not answer is a ``status="failed"`` record (the device waits
+        forever).  With it, a failed attempt waits out its deadline, feeds
+        the circuit breaker and retries with backoff at the re-decided
+        point; the retry cap, an open breaker or an exhausted SLA end in a
+        local fallback.
         """
-        record = self.begin_inference(now_s, request_id=request_id,
-                                      force_local=True)
-        assert isinstance(record, InferenceRecord)
-        wasted = now_s - start_s
-        return self._finalize_sla(replace(
-            record,
-            start_s=start_s,
-            total_s=record.total_s + wasted,
-            wasted_s=wasted,
-            retries=retries,
-            timeout_s=timeout_s,
-            status=status,
-        ))
-
-    def request_inference(self, now_s: float) -> InferenceRecord:
-        """Run one end-to-end inference starting at ``now_s``."""
-        if self.resilience is not None:
-            return self._request_resilient(now_s)
-        pending = self.begin_inference(now_s)
-        if isinstance(pending, InferenceRecord):
-            return pending
-        reply = self.server.handle_offload(
-            pending.arrive_s, pending.request_id, pending.partition_point,
-            tensors=pending.transfers, arrivals=pending.arrivals,
-            exit_index=pending.exit_index,
-        )
-        if not isinstance(reply, OffloadReply):
-            # Crashed (None) or shedding (BusyReply): a non-resilient device
-            # understands neither and waits forever.
-            return self._failed_record(
-                pending.request_id, pending.start_s, pending.partition_point,
-                pending.estimated_bandwidth_bps, pending.k_used,
-                device_s=pending.device_s, upload_s=pending.upload_s,
-                overhead_s=pending.overhead_s,
-                device_cache_hit=pending.device_cache_hit,
-                exit_index=pending.exit_index,
-            )
-        return self.complete_inference(pending, reply)
-
-    def _request_resilient(self, now_s: float) -> InferenceRecord:
-        """Deadline + retry + circuit-breaker wrapper around one inference."""
         cfg = self.resilience
         breaker = self.breaker
-        assert cfg is not None and breaker is not None
+        if breaker is not None and not breaker.allow_offload(now_s):
+            record = self.begin_inference(now_s, force_local=True)
+            return replace(record, status="fallback_local")
 
+        sla = self.sla_s
         clock = now_s
         retries = 0
         rejected = False
         timeout_seen = 0.0
         request_id: int | None = None
-        sla = self.sla_s
-
-        if not breaker.allow_offload(clock):
-            record = self.begin_inference(clock, force_local=True)
-            assert isinstance(record, InferenceRecord)
-            return self._finalize_sla(replace(record, status="fallback_local"))
-
         while True:
             # Retries have already burned part of the class SLA; the
             # attempt's decision and deadline run on what is left.
             budget = None if sla is None else max(sla - (clock - now_s), 0.0)
-            pending = self.begin_inference(clock, request_id=request_id,
+            attempt = self.begin_inference(clock, request_id=request_id,
                                            sla_budget_s=budget)
-            if isinstance(pending, InferenceRecord):
-                # The decision itself chose local.  On the first attempt
-                # that is normal operation; after failures it is the
-                # degraded path (the failures fed the estimator/k).
+            if isinstance(attempt, InferenceRecord):
+                # The decision itself chose local (or a non-resilient
+                # upload died).  After failures that is the degraded path
+                # (the failures fed the estimator/k).
                 if retries == 0:
-                    return pending
-                wasted = clock - now_s
-                return self._finalize_sla(replace(
-                    pending,
-                    start_s=now_s,
-                    total_s=pending.total_s + wasted,
-                    wasted_s=wasted,
-                    retries=retries,
-                    timeout_s=timeout_seen,
-                    status="rejected" if rejected else "fallback_local",
-                ))
+                    return attempt
+                break
+            pending = attempt
             request_id = pending.request_id
             timeout_seen = pending.timeout_s
 
-            failed_at = None  # when the device learned this attempt died
+            failed_at = None  # when the device learns this attempt died
             if not pending.delivered:
                 failed_at = pending.deadline_s
             else:
-                reply = self.server.handle_offload(
-                    pending.arrive_s, pending.request_id,
-                    pending.partition_point, tensors=pending.transfers,
-                    arrivals=pending.arrivals,
-                    exit_index=pending.exit_index,
-                )
+                reply, download_at_s = yield pending
                 if isinstance(reply, OffloadReply):
+                    if cfg is None:
+                        return self.complete_inference(pending, reply,
+                                                       download_at_s)
                     remaining = (pending.timeout_s - pending.upload_s
                                  - pending.decode_s - reply.server_exec_s)
                     if remaining > 0:
                         record = self.complete_inference(
-                            pending, reply, download_timeout_s=remaining
-                        )
+                            pending, reply, download_at_s,
+                            download_timeout_s=remaining)
                         if record.status != "failed":
-                            finish_s = pending.arrive_s + reply.server_exec_s
-                            breaker.record_success(finish_s)
-                            wasted = clock - now_s
-                            return self._finalize_sla(replace(
-                                record,
-                                start_s=now_s,
-                                total_s=record.total_s + wasted,
-                                wasted_s=wasted,
-                                retries=retries,
-                                status="retried" if retries else "ok",
-                            ))
+                            breaker.record_success(
+                                pending.arrive_s + reply.server_exec_s)
+                            return self._charged(
+                                record, now_s, clock, retries,
+                                status="retried" if retries else "ok")
                     failed_at = pending.deadline_s
+                elif cfg is None:
+                    # Crashed (None) or shedding (BusyReply): a
+                    # non-resilient device understands neither and waits
+                    # forever.
+                    return self._failed_record(
+                        pending.request_id, pending.start_s,
+                        pending.partition_point,
+                        pending.estimated_bandwidth_bps, pending.k_used,
+                        device_s=pending.device_s, upload_s=pending.upload_s,
+                        overhead_s=pending.overhead_s,
+                        device_cache_hit=pending.device_cache_hit,
+                        exit_index=pending.exit_index,
+                    )
                 elif isinstance(reply, BusyReply):
                     # Fast shed: the rejection round-trips immediately; the
                     # device honours retry_after before trying again.
@@ -782,20 +752,44 @@ class UserDevice:
                     # Crashed server: no reply ever comes; the deadline fires.
                     failed_at = pending.deadline_s
 
+            clock = yield (clock if failed_at is None else failed_at)
             if failed_at is not None:
-                clock = failed_at
                 breaker.record_failure(clock)
-
             if (retries >= cfg.max_retries
                     or not breaker.allow_offload(clock)
                     # An exhausted SLA ends the retry loop: another attempt
                     # cannot meet the deadline, only waste more latency.
                     or (sla is not None and clock - now_s >= sla)):
-                return self.fallback_record(
-                    request_id, now_s, clock, retries=retries,
-                    timeout_s=timeout_seen,
-                    status="rejected" if rejected else "fallback_local",
-                )
+                attempt = self.begin_inference(clock, request_id=request_id,
+                                               force_local=True)
+                break
             retries += 1
             if failed_at is not None:
-                clock += cfg.backoff_s(retries, float(self._rng.random()))
+                clock = yield clock + cfg.backoff_s(retries,
+                                                    float(self._rng.random()))
+        return self._charged(
+            attempt, now_s, clock, retries, timeout_s=timeout_seen,
+            status="rejected" if rejected else "fallback_local")
+
+    def request_inference(self, now_s: float) -> InferenceRecord:
+        """Run one end-to-end inference starting at ``now_s``, inline.
+
+        Drives :meth:`lifecycle` without an event loop: each offload is
+        served at once at its arrival instant, and each wait resumes at
+        the instant it asked for.
+        """
+        life = self.lifecycle(now_s)
+        try:
+            step = next(life)
+            while True:
+                if isinstance(step, PendingOffload):
+                    reply = self.server.handle_offload(
+                        step.arrive_s, step.request_id, step.partition_point,
+                        tensors=step.transfers, arrivals=step.arrivals,
+                        exit_index=step.exit_index,
+                    )
+                    step = life.send((reply, step.arrive_s))
+                else:
+                    step = life.send(step)
+        except StopIteration as done:
+            return done.value

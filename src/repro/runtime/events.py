@@ -54,9 +54,3 @@ class EventLoop:
             self._now = time_s
             callback()
         self._now = max(self._now, end_s)
-
-    def advance_to(self, time_s: float) -> None:
-        """Move the clock forward without processing events (request handling)."""
-        if time_s < self._now:
-            raise ValueError("clock cannot move backwards")
-        self._now = time_s

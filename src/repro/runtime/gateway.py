@@ -50,7 +50,13 @@ from repro.network.traces import BandwidthTrace, ConstantTrace
 from repro.runtime.client import UserDevice
 from repro.runtime.events import EventLoop
 from repro.runtime.messages import BusyReply, InferenceRecord
-from repro.runtime.multi import FleetResult, SharedEdgeServer, SharedLoadTracker, run_closed_loop
+from repro.runtime.multi import (
+    FleetResult,
+    SharedEdgeServer,
+    SharedLoadTracker,
+    run_closed_loop,
+    start_fleet,
+)
 from repro.runtime.server import EdgeServer
 from repro.runtime.supervisor import FleetSupervisor, SupervisorConfig
 from repro.runtime.system import SystemConfig, Timeline
@@ -382,11 +388,9 @@ class GatewayDevice(UserDevice):
 class GatewayFleetSystem:
     """N clients × M servers behind one gateway, on one event loop.
 
-    The sequential driver mirrors
-    :class:`~repro.runtime.multi.MultiClientSystem` exactly — same client
-    seeds, same profiler stagger, same global-time-order request loop —
-    so a 1-server fleet with probing disabled produces records
-    byte-identical to the direct path.  Each server gets its own
+    It runs :class:`~repro.runtime.multi.MultiClientSystem`'s driver with
+    the same client seeds, so a 1-server fleet with probing disabled
+    produces records byte-identical to the direct path.  Each server gets its own
     :class:`~repro.runtime.multi.SharedLoadTracker` (contention is
     per-GPU), its own channel (per-link fault streams via
     :meth:`~repro.network.faults.FaultPlan.for_server`), and a
@@ -512,20 +516,7 @@ class GatewayFleetSystem:
     def run(self, duration_s: float) -> FleetResult:
         """Simulate all clients issuing requests back-to-back."""
         loop = self.loop
-        for i, client in enumerate(self.clients):
-            client.profiler_tick(0.0)
-            # Stagger profiler periods so clients don't probe in lockstep
-            # (identical to MultiClientSystem).
-            offset = (i + 1) * self.config.profiler_period_s / (len(self.clients) + 1)
-            loop.schedule_every(
-                self.config.profiler_period_s,
-                lambda c=client: c.profiler_tick(loop.now),
-                start_s=offset,
-            )
-        for server in self.servers:
-            loop.schedule_every(
-                self.config.watchdog_period_s,
-                lambda s=server: s.watchdog_tick(loop.now))
+        start_fleet(loop, self.clients, self.servers, self.config)
         if self.gateway.probing_enabled:
             probe_period = self.supervisor.config.probe_period_s
             self.supervisor.tick(0.0)

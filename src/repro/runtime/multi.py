@@ -21,9 +21,8 @@ recovers.
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Deque, List, Tuple
 
 import numpy as np
@@ -34,10 +33,10 @@ from repro.hardware.background import LoadLevel
 from repro.network.channel import Channel, NetworkParams
 from repro.network.faults import FaultyChannel
 from repro.network.traces import BandwidthTrace, ConstantTrace
-from repro.runtime.batching import DynamicBatcher, PendingRequest
+from repro.runtime.batching import BatchingConfig, DynamicBatcher, PendingRequest
 from repro.runtime.client import PendingOffload, UserDevice
 from repro.runtime.events import EventLoop
-from repro.runtime.messages import InferenceRecord, OffloadReply
+from repro.runtime.messages import BusyReply, InferenceRecord, OffloadReply
 from repro.runtime.server import EdgeServer
 from repro.runtime.system import OffloadingSystem, SystemConfig, Timeline
 
@@ -140,23 +139,154 @@ class SharedEdgeServer(EdgeServer):
         return replies
 
 
+def start_fleet(loop: EventLoop, clients, servers, config: SystemConfig) -> None:
+    """Warm every client's profiler at t=0 and arm the periodic ticks.
+
+    Profiler periods are staggered so clients don't probe in lockstep;
+    every server gets its own watchdog.
+    """
+    period = config.profiler_period_s
+    for i, client in enumerate(clients):
+        client.profiler_tick(0.0)
+        loop.schedule_every(period, lambda c=client: c.profiler_tick(loop.now),
+                            start_s=(i + 1) * period / (len(clients) + 1))
+    for server in servers:
+        loop.schedule_every(config.watchdog_period_s,
+                            lambda s=server: s.watchdog_tick(loop.now))
+
+
+class BatchQueue:
+    """Dynamic batching at one server, on the fleet's event loop.
+
+    An offload's arrival enqueues it at its ``(exit, point)`` cell; the
+    cell flushes when its window expires or ``max_batch`` requests have
+    gathered.  All requests of a flush share one batched tail execution
+    and start downloading together, one batch execution later.  Under
+    ``SystemConfig(parallelism=...)`` that shared execution schedules
+    per-sample slices concurrently (2-D sample × chain), which changes
+    wall-clock cost only: records and outputs are bit-identical.
+    """
+
+    def __init__(self, loop: EventLoop, server: SharedEdgeServer,
+                 config: BatchingConfig) -> None:
+        self.loop = loop
+        self.server = server
+        self.config = config
+        self.batcher = DynamicBatcher(config)
+
+    def arrive(self, pending: PendingOffload, answer) -> None:
+        """Queue ``pending`` at its arrival; ``answer(reply, download_at_s)``
+        receives the server's reply (``None`` if the server is down, a
+        :class:`BusyReply` if admission control sheds it)."""
+        loop, server = self.loop, self.server
+        # Requests co-batch only within one (exit, point) cell: tails of
+        # different exit graphs (or cut depths) cannot share a batched
+        # execution.  Exit-free requests key as exit -1, so mixed traffic
+        # keeps every queue key mutually sortable.
+        key = (-1 if pending.exit_index is None else pending.exit_index,
+               pending.partition_point)
+        if not server.available_at(loop.now):
+            answer(None, loop.now)
+            return
+        plan = server.fault_plan
+        if (plan is not None and plan.queue_limit is not None
+                and self.batcher.queue_depth(key) >= plan.queue_limit):
+            # Admission control sheds the request before it queues.
+            server.rejected_count += 1
+            answer(BusyReply(pending.request_id, plan.retry_after_s), loop.now)
+            return
+        request = PendingRequest(request_id=pending.request_id,
+                                 enqueue_s=loop.now,
+                                 tensors=pending.transfers, context=answer)
+        flush_now, epoch = self.batcher.enqueue(key, request)
+        if flush_now:
+            self.flush(key)
+        elif self.batcher.queue_depth(key) == 1:
+            # This request opened the queue: arm its window timer.
+            loop.schedule_at(loop.now + self.config.window_s,
+                             lambda: self.flush(key, epoch))
+
+    def flush(self, key: Tuple[int, int], epoch: int | None = None) -> None:
+        batch = self.batcher.take(key, epoch)
+        if not batch:
+            return
+        exit_key, point = key
+        now = self.loop.now
+        replies = self.server.handle_offload_batch(
+            now, batch, point, self.config,
+            exit_index=None if exit_key < 0 else exit_key)
+        if replies is None:
+            # The server crashed between arrival and flush: the whole
+            # batch dies.
+            for request in batch:
+                request.context(None, now)
+            return
+        done_s = now + replies[0].server_exec_s - replies[0].queue_s
+        for request, reply in zip(batch, replies):
+            request.context(reply, done_s)
+
+
 def run_closed_loop(loop: EventLoop, clients, duration_s: float,
-                    think_time_s: float) -> List[List[InferenceRecord]]:
+                    think_time_s: float,
+                    batch_queue: BatchQueue | None = None,
+                    ) -> List[List[InferenceRecord]]:
     """Every client requests, waits for its record, thinks, and repeats.
 
-    Requests run in global start-time order (ties: the lowest client
-    index), so shared trackers see interleaved arrivals; client ``i``
-    starts at ``3i`` ms.  Returns each client's records.
+    Client ``i`` starts at ``3i`` ms.  Starts and re-issues are events on
+    ``loop``; each start arms the next one, so an event of the same
+    instant that was armed earlier (a periodic tick) runs first.  Without
+    a batch queue an issue runs the whole request inline
+    (:meth:`~repro.runtime.client.UserDevice.request_inference`); with
+    one, each request's :meth:`~repro.runtime.client.UserDevice.lifecycle`
+    advances on events and its offloads queue at the server.  The loop
+    runs to ``duration_s``, then until no request is in flight (none is
+    dropped).  Returns each client's records.
     """
     records: List[List[InferenceRecord]] = [[] for _ in clients]
-    # (next request time, client index), a heap: already sorted.
-    queue = [(i * 0.003, i) for i in range(len(clients))]
-    while queue and queue[0][0] < duration_s:
-        t, idx = queue[0]
-        loop.run_until(t)
-        record = clients[idx].request_inference(t)
+    in_flight = [0]
+
+    def finish(idx: int, record: InferenceRecord) -> None:
         records[idx].append(record)
-        heapq.heapreplace(queue, (t + record.total_s + think_time_s, idx))
+        next_t = record.start_s + record.total_s + think_time_s
+        # A failed (infinite) record never schedules again: the naive
+        # client is stalled, exactly as a blocking RPC would leave it.
+        if next_t < duration_s:
+            loop.schedule_at(max(next_t, loop.now), lambda: issue(idx))
+
+    def advance(idx: int, life, value) -> None:
+        try:
+            step = life.send(value)
+        except StopIteration as done:
+            in_flight[0] -= 1
+            finish(idx, done.value)
+            return
+        if isinstance(step, PendingOffload):
+            loop.schedule_at(step.arrive_s, lambda: batch_queue.arrive(
+                step, lambda reply, at: advance(idx, life, (reply, at))))
+        else:
+            loop.schedule_at(max(step, loop.now),
+                             lambda: advance(idx, life, loop.now))
+
+    def issue(idx: int) -> None:
+        if batch_queue is None:
+            finish(idx, clients[idx].request_inference(loop.now))
+            return
+        in_flight[0] += 1
+        advance(idx, clients[idx].lifecycle(loop.now), None)
+
+    def start(idx: int) -> None:
+        following = (idx + 1) * 0.003
+        if idx + 1 < len(clients) and following < duration_s:
+            loop.schedule_at(following, lambda: start(idx + 1))
+        issue(idx)
+
+    if clients and duration_s > 0:
+        loop.schedule_at(0.0, lambda: start(0))
+    loop.run_until(duration_s)
+    # Only batched lifecycles outlive their issue: arrivals, window
+    # flushes and retries may land after the horizon.
+    while in_flight[0] > 0:
+        loop.run_until(loop.now + max(batch_queue.config.window_s, 1e-3))
     return records
 
 
@@ -354,204 +484,15 @@ class MultiClientSystem:
         self.loop = EventLoop()
 
     def run(self, duration_s: float) -> FleetResult:
-        """Simulate all clients issuing requests back-to-back."""
+        """Simulate all clients issuing requests back-to-back (through the
+        server's batch queue when ``config.batching`` is set)."""
+        loop = self.loop
+        start_fleet(loop, self.clients, [self.server], self.config)
+        batch_queue = None
         if self.config.batching is not None:
-            return self._run_batched(duration_s)
-        loop = self.loop
-        for i, client in enumerate(self.clients):
-            client.profiler_tick(0.0)
-            # Stagger profiler periods so clients don't probe in lockstep.
-            offset = (i + 1) * self.config.profiler_period_s / (len(self.clients) + 1)
-            loop.schedule_every(
-                self.config.profiler_period_s,
-                lambda c=client: c.profiler_tick(loop.now),
-                start_s=offset,
-            )
-        loop.schedule_every(self.config.watchdog_period_s,
-                            lambda: self.server.watchdog_tick(loop.now))
-
+            batch_queue = BatchQueue(loop, self.server, self.config.batching)
         records = run_closed_loop(loop, self.clients, duration_s,
-                                  self.config.think_time_s)
-        return FleetResult(
-            timelines=tuple(Timeline(r) for r in records),
-            policy=self.policy,
-        )
-
-    def _run_batched(self, duration_s: float) -> FleetResult:
-        """Event-driven fleet run with dynamic batching at the server.
-
-        Requests split into an asynchronous begin (decide + head + upload)
-        and complete (reply + download) pair: the upload's arrival enqueues
-        the request at its partition point, and the queue flushes when the
-        batching window expires or ``max_batch`` requests have gathered.
-        All requests of a flush share one batched tail execution and finish
-        together; queueing delay lands in each record's ``server_s``, so a
-        client's next request is scheduled exactly as in the sequential
-        driver — ``start + total + think``.  Under
-        ``SystemConfig(parallelism=...)`` that shared execution schedules
-        per-sample slices concurrently (2-D sample × chain), which changes
-        wall-clock cost only — records and outputs are bit-identical.
-        """
-        cfg = self.config.batching
-        loop = self.loop
-        batcher = DynamicBatcher(cfg)
-        records: List[List[InferenceRecord]] = [[] for _ in self.clients]
-        in_flight = [0]
-
-        for i, client in enumerate(self.clients):
-            client.profiler_tick(0.0)
-            offset = (i + 1) * self.config.profiler_period_s / (len(self.clients) + 1)
-            loop.schedule_every(
-                self.config.profiler_period_s,
-                lambda c=client: c.profiler_tick(loop.now),
-                start_s=offset,
-            )
-        loop.schedule_every(self.config.watchdog_period_s,
-                            lambda: self.server.watchdog_tick(loop.now))
-
-        def finish(idx: int, record: InferenceRecord) -> None:
-            records[idx].append(record)
-            next_t = record.start_s + record.total_s + self.config.think_time_s
-            # A failed (infinite) record never schedules again: the naive
-            # client is stalled, exactly as a blocking RPC would leave it.
-            if next_t < duration_s:
-                loop.schedule_at(max(next_t, loop.now), lambda: issue(idx))
-
-        def fail_offload(idx: int, pending: PendingOffload,
-                         status: str = "fallback_local") -> None:
-            """Resolve a doomed offload: local fallback or a stalled record.
-
-            Batched mode fails fast — no retries through the queue; a
-            resilient client falls back to local inference at the moment
-            its deadline fires (or immediately for a rejection).
-            """
-            in_flight[0] -= 1
-            client = self.clients[idx]
-            if client.resilience is None:
-                finish(idx, client._failed_record(
-                    pending.request_id, pending.start_s, pending.partition_point,
-                    pending.estimated_bandwidth_bps, pending.k_used,
-                    device_s=pending.device_s, upload_s=pending.upload_s,
-                    overhead_s=pending.overhead_s,
-                    device_cache_hit=pending.device_cache_hit,
-                    exit_index=pending.exit_index,
-                ))
-                return
-            resolve_s = loop.now if status == "rejected" else max(
-                pending.deadline_s, loop.now)
-            assert client.breaker is not None
-            client.breaker.record_failure(resolve_s)
-
-            def resolve() -> None:
-                finish(idx, client.fallback_record(
-                    pending.request_id, pending.start_s, loop.now,
-                    timeout_s=pending.timeout_s, status=status,
-                ))
-
-            loop.schedule_at(resolve_s, resolve)
-
-        def issue(idx: int) -> None:
-            client = self.clients[idx]
-            if client.breaker is not None and not client.breaker.allow_offload(loop.now):
-                record = client.begin_inference(loop.now, force_local=True)
-                assert isinstance(record, InferenceRecord)
-                finish(idx, replace(record, status="fallback_local"))
-                return
-            pending = client.begin_inference(loop.now)
-            if isinstance(pending, InferenceRecord):
-                finish(idx, pending)
-                return
-            in_flight[0] += 1
-            if not pending.delivered:
-                # The upload never made it; the device notices at its
-                # deadline and falls back.
-                fail_offload(idx, pending)
-                return
-            loop.schedule_at(pending.arrive_s,
-                             lambda: arrive(idx, pending))
-
-        def arrive(idx: int, pending) -> None:
-            # Requests co-batch only within one (exit, point) cell: tails of
-            # different exit graphs (or cut depths) cannot share a batched
-            # execution.  Exit-free requests key as exit -1, so mixed
-            # traffic keeps every queue key mutually sortable.
-            key = (-1 if pending.exit_index is None else pending.exit_index,
-                   pending.partition_point)
-            if not self.server.available_at(loop.now):
-                fail_offload(idx, pending)
-                return
-            sf = self.server.fault_plan
-            if (sf is not None and sf.queue_limit is not None
-                    and batcher.queue_depth(key) >= sf.queue_limit):
-                # Admission control sheds the request before it queues.
-                self.server.rejected_count += 1
-                fail_offload(idx, pending, status="rejected")
-                return
-            request = PendingRequest(
-                request_id=pending.request_id,
-                enqueue_s=loop.now,
-                tensors=pending.transfers,
-                context=(idx, pending),
-            )
-            flush_now, epoch = batcher.enqueue(key, request)
-            if flush_now:
-                flush(key)
-            elif batcher.queue_depth(key) == 1:
-                # This request opened the queue: arm its window timer.
-                loop.schedule_at(loop.now + cfg.window_s,
-                                 lambda: flush(key, epoch))
-
-        def flush(key: Tuple[int, int], epoch: int | None = None) -> None:
-            exit_key, point = key
-            batch = batcher.take(key, epoch)
-            if not batch:
-                return
-            replies = self.server.handle_offload_batch(
-                loop.now, batch, point, cfg,
-                exit_index=None if exit_key < 0 else exit_key,
-            )
-            if replies is None:
-                # The server crashed between arrival and flush: the whole
-                # batch dies; each client resolves at its own deadline.
-                for request in batch:
-                    idx, pending = request.context
-                    fail_offload(idx, pending)
-                return
-            # All requests leave the GPU together, one batch execution later.
-            done_s = loop.now + replies[0].server_exec_s - replies[0].queue_s
-            for request, reply in zip(batch, replies):
-                idx, pending = request.context
-                client = self.clients[idx]
-                if done_s > pending.deadline_s:
-                    # Queueing + execution overshot this request's deadline:
-                    # the device already gave up waiting.
-                    fail_offload(idx, pending)
-                    continue
-                budget = None
-                if client.resilience is not None:
-                    budget = pending.deadline_s - done_s
-                record = client.complete_inference(
-                    pending, reply, download_at_s=done_s,
-                    download_timeout_s=budget,
-                )
-                if record.status == "failed" and client.resilience is not None:
-                    fail_offload(idx, pending)
-                    continue
-                if client.breaker is not None and record.status != "failed":
-                    client.breaker.record_success(done_s)
-                in_flight[0] -= 1
-                finish(idx, record)
-
-        for i in range(len(self.clients)):
-            start = i * 0.003
-            if start < duration_s:
-                loop.schedule_at(start, lambda i=i: issue(i))
-
-        loop.run_until(duration_s)
-        # Drain in-flight requests (arrivals and window flushes may land
-        # shortly after the horizon); no request is ever dropped.
-        while in_flight[0] > 0:
-            loop.run_until(loop.now + max(cfg.window_s, 1e-3))
+                                  self.config.think_time_s, batch_queue)
         return FleetResult(
             timelines=tuple(Timeline(r) for r in records),
             policy=self.policy,

@@ -24,6 +24,7 @@ from repro.runtime.system import SystemConfig
 
 GATEWAY_DIGEST = "23676a7d1cfca51519ab451c0c3d1bf8997586261a39d802fcdbd10a2bf4bb89"
 STREAM_DIGEST = "ad96a15873ee90e5f45e0d797be3d1b638a03f43a087b0e01b319d49f2ad8ecb"
+SAME_INSTANT_DIGEST = "e81ce37e03c041f81cb32486d595e24f06f210d1299cc166b40def871316df29"
 
 
 def digest(result) -> str:
@@ -62,3 +63,28 @@ def test_batched_streaming_fleet_records_pinned(engine_for):
                             batching=BatchingConfig()),
     )
     assert digest(system.run(horizon)) == STREAM_DIGEST
+
+
+def test_start_after_same_instant_probe_pinned(squeezenet_engine):
+    """A client start and a periodic probe share one instant: the probe,
+    armed one period earlier, runs first and the start sees its result.
+    Scheduling every start up front flips this order (and the digest)."""
+    system = GatewayFleetSystem(
+        squeezenet_engine, 4, num_servers=2,
+        bandwidth_trace=ConstantTrace(50e6),
+        config=SystemConfig(seed=3, think_time_s=0.05),
+        gateway_config=GatewayConfig(
+            probes=SupervisorConfig(probe_period_s=0.003)),
+    )
+    ticks = []
+    tick = system.supervisor.tick
+
+    def logged_tick(now_s):
+        ticks.append(now_s)
+        tick(now_s)
+    system.supervisor.tick = logged_tick
+    result = system.run(0.3)
+    # Client 2 starts at 2 * 3 ms, exactly when the second probe fires.
+    start = result.timelines[2].records[0].start_s
+    assert start == 0.006 and ticks[2] == start
+    assert digest(result) == SAME_INSTANT_DIGEST

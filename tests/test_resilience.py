@@ -6,6 +6,7 @@ import pytest
 
 from repro.network.faults import FaultPlan, ServerFaultPlan
 from repro.runtime.batching import BatchingConfig
+from repro.runtime.client import PendingOffload
 from repro.runtime.messages import BusyReply
 from repro.runtime.multi import MultiClientSystem
 from repro.runtime.resilience import CircuitBreaker, ResilienceConfig
@@ -232,6 +233,57 @@ class TestBatchedFaults:
         # The drain loop must not hang even though requests die silently.
         result = self._fleet(squeezenet_engine, None)
         assert result.availability < 1.0
+
+    def test_resilient_batched_clients_retry_through_the_queue(
+            self, squeezenet_engine):
+        """Batched offloads that die (crash window) or are shed (queue
+        limit) retry through the queue; a shed attempt waits out its
+        BusyReply's ``retry_after`` before the device acts again."""
+        plan = ServerFaultPlan(crash_windows=((1.0, 3.0),), queue_limit=2,
+                               retry_after_s=0.05)
+        config = SystemConfig(seed=7, policy="full", server_faults=plan,
+                              resilience=ResilienceConfig(max_retries=2),
+                              batching=BatchingConfig(window_s=0.02))
+        system = MultiClientSystem(squeezenet_engine, 6, config=config)
+        attempts = {}  # client -> [(start instant, begin_inference result)]
+        for client in system.clients:
+            log = attempts[client] = []
+
+            def begin(now_s, _begin=client.begin_inference, _log=log, **kw):
+                result = _begin(now_s, **kw)
+                _log.append((now_s, result))
+                return result
+            client.begin_inference = begin
+        served = set()
+        flush = system.server.handle_offload_batch
+
+        def handle_offload_batch(now_s, requests, *args, **kwargs):
+            served.update((r.request_id, r.enqueue_s) for r in requests)
+            return flush(now_s, requests, *args, **kwargs)
+        system.server.handle_offload_batch = handle_offload_batch
+
+        result = system.run(6.0)
+        records = [r for timeline in result.timelines for r in timeline]
+        assert any(r.retries >= 1 for r in records)
+        assert result.availability == 1.0
+        assert system.server.rejected_count > 0
+
+        base = system.channel.params.base_latency_s
+        shed = 0
+        for log in attempts.values():
+            for (_, pending), (next_s, after) in zip(log, log[1:]):
+                if (not isinstance(pending, PendingOffload)
+                        or not pending.delivered
+                        or (pending.request_id, pending.arrive_s) in served
+                        or not system.server.available_at(pending.arrive_s)):
+                    continue
+                # Delivered to a live server and never flushed: shed by
+                # admission control.  The device acts on that attempt's
+                # request next (a retry or the local fallback).
+                assert after.request_id == pending.request_id
+                assert next_s >= pending.arrive_s + base + plan.retry_after_s
+                shed += 1
+        assert shed > 0
 
 
 class TestStaleLoadFactor:

@@ -37,13 +37,19 @@ unconditionally.  ``chain_only`` and ``branchy_serial`` cells are
 informational (the former is gated by the parallel_chains report, the
 latter carries PR 4's accepted chain-compile overhead).
 
-``BENCH_fleet.json`` reports gate on the candidate alone: the 4-server
-fleet must complete every request (availability 1.0) while server 0
-crashes mid-run, its p95 must beat the saturated 1-server fleet's, the
-degenerate 1-server gateway must have stayed record-identical to the
-direct client-server path, and on the heterogeneous (fast+near vs
-slow+far) cell the profile-aware arm's p95 must strictly beat the
-profile-blind arm's.
+``BENCH_fleet.json`` reports gate on the candidate's own numbers: the
+4-server fleet must complete every request (availability 1.0) while
+server 0 crashes mid-run, its p95 must beat the saturated 1-server
+fleet's, the degenerate 1-server gateway must have stayed
+record-identical to the direct client-server path, and on the
+heterogeneous (fast+near vs slow+far) cell the profile-aware arm's p95
+must strictly beat the profile-blind arm's.  The timeline is simulated,
+so the numbers are gated against the baseline too: no arm's p95 may
+rise more than the threshold, and no availability may drop.
+``BENCH_exits.json`` reports gate the same way: the candidate's own
+exit-vs-full-network comparisons, plus per arm and SLA class a p95 that
+may not rise more than the threshold and attainment and accuracy that
+may not drop.
 
 ``BENCH_sim.json`` reports gate simulator throughput per (driver, fleet
 size) cell, each normalised by the fixed reference workload timed in the
@@ -145,6 +151,31 @@ def compare_resilience(baseline: dict, candidate: dict,
     return regressions
 
 
+def baseline_gates(label: str, baseline: dict, candidate: dict,
+                   threshold: float, rises: tuple = (),
+                   drops: tuple = ()) -> list[str]:
+    """Gate deterministic simulated outcomes against the committed values.
+
+    Each key of ``rises`` (a latency) may not exceed its baseline by more
+    than ``threshold``; each key of ``drops`` (availability, attainment,
+    accuracy) may not fall below its baseline at all.  Keys missing or
+    ``None`` on either side are skipped.
+    """
+    regressions: list[str] = []
+    for key in rises:
+        b, c = baseline.get(key), candidate.get(key)
+        if b is not None and c is not None and c > b * (1.0 + threshold):
+            regressions.append(
+                f"{label} {key} {b} -> {c} (+{(c / b - 1.0) * 100:.1f}% > "
+                f"{threshold * 100:.0f}% over the committed baseline)")
+    for key in drops:
+        b, c = baseline.get(key), candidate.get(key)
+        if b is not None and c is not None and c < b:
+            regressions.append(
+                f"{label} {key} {b} -> {c} (below the committed baseline)")
+    return regressions
+
+
 def compare_fleet(baseline: dict, candidate: dict,
                   threshold: float) -> list[str]:
     """Gate the sharded-fleet report on the candidate's own numbers.
@@ -154,10 +185,16 @@ def compare_fleet(baseline: dict, candidate: dict,
     1-server fleet's p95 at the same saturation, the degenerate 1-server
     gateway must have stayed record-identical to the direct path, and
     profile-aware routing must beat profile-blind routing on p95 in the
-    heterogeneous cell.  The baseline is printed for side-by-side
-    context only.
+    heterogeneous cell.  Against the baseline, every arm's p95 may not
+    rise more than ``threshold`` and its availability may not drop.
     """
+    base_arms = {r["arm"]: r for r in baseline["results"]}
     regressions: list[str] = []
+    for arm in candidate["results"]:
+        if arm["arm"] in base_arms:
+            regressions += baseline_gates(
+                arm["arm"], base_arms[arm["arm"]], arm, threshold,
+                rises=("p95_ms",), drops=("availability",))
     b4, c4 = baseline["fleet4_availability"], candidate["fleet4_availability"]
     bp1, cp1 = baseline["fleet1_p95_ms"], candidate["fleet1_p95_ms"]
     bp4, cp4 = baseline["fleet4_p95_ms"], candidate["fleet4_p95_ms"]
@@ -203,10 +240,23 @@ def compare_exits(baseline: dict, candidate: dict,
     the full-network-only arm on SLA attainment, the slack class must
     lose no attainment and must keep the full network's accuracy (its
     worst-served exit is the final one), and the exit-free degenerate
-    cell must have stayed record-identical to the plain engine.  The
-    baseline is printed for side-by-side context only.
+    cell must have stayed record-identical to the plain engine.  Against
+    the baseline, every arm's per-class p95 may not rise more than
+    ``threshold``, and its attainment and accuracy may not drop.
     """
+    base_arms = {r["arm"]: r for r in baseline["results"]}
     regressions: list[str] = []
+    for arm in candidate["results"]:
+        base = base_arms.get(arm["arm"])
+        if base is None:
+            continue
+        regressions += baseline_gates(arm["arm"], base, arm, threshold,
+                                      drops=("overall_attainment",))
+        for cls in ("strict", "slack"):
+            regressions += baseline_gates(
+                f"{arm['arm']} {cls}", base[cls], arm[cls], threshold,
+                rises=("p95_ms",),
+                drops=("attainment", "mean_accuracy", "min_accuracy"))
     bfs = baseline["full_strict_attainment"]
     bes = baseline["exits_strict_attainment"]
     cfs = candidate["full_strict_attainment"]
